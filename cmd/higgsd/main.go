@@ -93,11 +93,17 @@
 //	higgsd -wal-dir /var/lib/higgs -replication-addr 127.0.0.1:9090
 //	higgsd -addr :8081 -replicate-from http://127.0.0.1:9090 -replica-dir /var/lib/higgs-replica
 //
-// On SIGINT/SIGTERM the server stops accepting connections, drains the
-// ingest pipeline (every 202-accepted batch is applied), writes a final
-// snapshot into -wal-dir (truncating the log), and, if -save is set,
-// writes a snapshot there too — so accepted edges survive an orderly
-// shutdown even without a WAL.
+// Every role is assembled by one function. The role decides only where the
+// summary comes from (-load, WAL recovery, or a follower's boot), which
+// background workers run, and which replication status /healthz reports;
+// the read path, the analytics engine, pprof, the listener and the
+// shutdown sequence are shared, built from one server.Config.
+//
+// On SIGINT/SIGTERM the server stops accepting connections, stops the
+// replication feed or tail, drains the ingest pipeline (every 202-accepted
+// batch is applied), writes a final snapshot into -wal-dir (truncating the
+// log), and, if -save is set, writes and fsyncs a snapshot there too — so
+// accepted edges survive an orderly shutdown even without a WAL.
 package main
 
 import (
@@ -112,7 +118,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -129,366 +134,286 @@ import (
 const snapshotName = "snapshot.higgs"
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		shards  = flag.Int("shards", 0, "summary shard count (0 = one per CPU)")
-		load    = flag.String("load", "", "snapshot file to restore at startup")
-		save    = flag.String("save", "", "snapshot file to write on shutdown")
-		mode    = flag.String("ingest-mode", "auto", `/v1/ingest admission: "sync", "async", or "auto"`)
-		depth   = flag.Int("queue-depth", 4096, "per-shard async ingest queue capacity (edges)")
-		commit  = flag.Duration("commit-interval", 0, "group-commit accumulation window (0 = apply as soon as possible)")
-		walDir  = flag.String("wal-dir", "", "durable state directory: write-ahead log segments + snapshot.higgs (empty = no crash durability)")
-		walSync = flag.Duration("wal-sync-interval", 0, "WAL group-fsync accumulation window — bounds how long a 202 waits for its fsync (0 = sync as soon as dirty)")
-		snapIvl = flag.Duration("snapshot-interval", 0, "background snapshot cadence; requires -wal-dir (0 = snapshot only on shutdown)")
-		retWin  = flag.Duration("retention-window", 0, "sliding retention window: periodically expire edges older than now minus this (0 = keep everything)")
-		retIvl  = flag.Duration("retention-interval", 0, "retention loop cadence; requires -retention-window (0 = window/10, at least 1s)")
-		pprof   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private — profiles expose internals")
-
-		replAddr   = flag.String("replication-addr", "", "serve the WAL-shipping replication feed (/repl/*) on this address; requires -wal-dir (empty = disabled); keep it private — it ships the raw log")
-		replFrom   = flag.String("replicate-from", "", "run as a read-only follower of this primary replication URL (e.g. http://primary:9090): reads served, writes answer 403")
-		replicaDir = flag.String("replica-dir", "", "follower state directory holding the local snapshot cache, so restarts resume from disk; requires -replicate-from")
-
-		anaOn    = flag.Bool("analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst sketches maintained in the committer apply path, served by the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
-		anaTopK  = flag.Int("analytics-topk", 0, "tracked heavy-hitter candidates per shard and direction (0 = 128); requires -analytics")
-		anaEpoch = flag.Duration("analytics-epoch", 0, "burst-detection epoch length, whole seconds (0 = 1m); requires -analytics")
-		anaBurst = flag.Float64("analytics-burst", 0, "burst threshold: flag a vertex when its current-epoch weight reaches this multiple of its recent-epoch average (0 = 4.0); requires -analytics")
-
-		cacheBytes = flag.Int64("cache-bytes", 0, "watermark-invalidated read cache byte budget across all shards (0 = disabled, minimum 64KiB)")
-		admitHeavy = flag.Int("admit-heavy", 0, "concurrent heavy-query budget; enables admission control (0 = class budgets at defaults unless -admit-rate set)")
-		admitRate  = flag.Float64("admit-rate", 0, "per-client sustained queries/sec token-bucket rate; enables admission control (0 = no per-client rate limit)")
-		version    = flag.Bool("version", false, "print the build version and exit")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
-
-	if *version {
+	if o.version {
 		fmt.Printf("higgsd %s\n", server.BuildVersion())
 		return
 	}
-
-	imode, err := ingest.ParseMode(*mode)
-	if err != nil {
-		log.Fatalf("higgsd: -ingest-mode: %v", err)
-	}
-	if *depth <= 0 {
-		// Config treats 0 as "use the default"; an operator passing 0
-		// expects no buffering, which the pipeline does not offer.
-		log.Fatalf("higgsd: -queue-depth %d, need ≥ 1", *depth)
-	}
-	switch {
-	case *snapIvl < 0:
-		log.Fatalf("higgsd: -snapshot-interval %v, need ≥ 0", *snapIvl)
-	case *walSync < 0:
-		log.Fatalf("higgsd: -wal-sync-interval %v, need ≥ 0", *walSync)
-	case *walDir != "" && *load != "":
-		log.Fatal("higgsd: -load conflicts with -wal-dir (the WAL directory owns its snapshot; remove -load)")
-	case *retWin < 0:
-		log.Fatalf("higgsd: -retention-window %v, need ≥ 0", *retWin)
-	case *retIvl < 0:
-		log.Fatalf("higgsd: -retention-interval %v, need ≥ 0", *retIvl)
-	case *retIvl > 0 && *retWin == 0:
-		log.Fatal("higgsd: -retention-interval requires -retention-window")
-	case *replAddr != "" && *walDir == "":
-		log.Fatal("higgsd: -replication-addr requires -wal-dir (the feed ships the write-ahead log)")
-	case *replicaDir != "" && *replFrom == "":
-		log.Fatal("higgsd: -replica-dir requires -replicate-from")
-	case *replFrom != "" && *walDir != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -wal-dir (a follower's durable state is its primary; use -replica-dir for the local cache)")
-	case *replFrom != "" && *load != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -load (the boot snapshot comes from the primary)")
-	case *replFrom != "" && *shards != 0:
-		log.Fatal("higgsd: -replicate-from conflicts with -shards (the primary's snapshot fixes the shard count)")
-	case *replFrom != "" && *retWin > 0:
-		log.Fatal("higgsd: -replicate-from conflicts with -retention-window (retention runs on the primary and replicates as expire records)")
-	case *replFrom != "" && *replAddr != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -replication-addr (chained replication is not supported)")
-	case *snapIvl > 0 && *walDir == "" && *replicaDir == "":
-		log.Fatal("higgsd: -snapshot-interval requires -wal-dir (or -replica-dir on a follower)")
-	case *cacheBytes < 0:
-		log.Fatalf("higgsd: -cache-bytes %d, need ≥ 0", *cacheBytes)
-	case *admitHeavy < 0:
-		log.Fatalf("higgsd: -admit-heavy %d, need ≥ 0", *admitHeavy)
-	case *admitRate < 0:
-		log.Fatalf("higgsd: -admit-rate %v, need ≥ 0", *admitRate)
-	case !*anaOn && (*anaTopK != 0 || *anaEpoch != 0 || *anaBurst != 0):
-		log.Fatal("higgsd: -analytics-topk/-analytics-epoch/-analytics-burst require -analytics")
-	case *anaTopK < 0:
-		log.Fatalf("higgsd: -analytics-topk %d, need ≥ 0", *anaTopK)
-	case *anaEpoch != 0 && *anaEpoch < time.Second:
-		log.Fatalf("higgsd: -analytics-epoch %v, need whole seconds ≥ 1s (or 0 for the default)", *anaEpoch)
-	case *anaBurst != 0 && *anaBurst < 1:
-		log.Fatalf("higgsd: -analytics-burst %v, need ≥ 1 (or 0 for the default)", *anaBurst)
-	}
-
-	var anaCfg *analytics.Config
-	if *anaOn {
-		anaCfg = &analytics.Config{
-			TrackK:       *anaTopK,
-			EpochSeconds: int64(*anaEpoch / time.Second),
-			BurstFactor:  *anaBurst,
-		}
-	}
-
-	if *replFrom != "" {
-		runFollower(*addr, *replFrom, *replicaDir, *snapIvl, *save, *pprof, *cacheBytes, *admitHeavy, *admitRate, anaCfg)
-		return
-	}
-	icfg := ingest.DefaultConfig()
-	icfg.Mode = imode
-	icfg.QueueDepth = *depth
-	icfg.CommitInterval = *commit
-
-	var (
-		sum   *shard.Summary
-		wlog  *wal.Log
-		eng   *analytics.Engine
-		snapP string
-	)
-	if *walDir != "" {
-		// Recovery: latest snapshot + WAL tail replay (DESIGN.md §12).
-		snapP = filepath.Join(*walDir, snapshotName)
-		sum, err = loadOrNewSummary(snapP, *shards)
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		if anaCfg != nil {
-			// The engine observes the summary from before the WAL replay, so
-			// the sketches absorb recovered edges exactly like live ones
-			// (DESIGN.md §17). The server adopts it after construction.
-			acfg := *anaCfg
-			acfg.Shards = sum.NumShards()
-			acfg.Seed = sum.Config().Core.Seed
-			if eng, err = analytics.New(acfg); err != nil {
-				log.Fatalf("higgsd: analytics: %v", err)
-			}
-			sum.SetApplyObserver(eng)
-		}
-		// The WAL group-syncs on its own cadence (-wal-sync-interval): one
-		// fsync covers everything accepted during the accumulation window,
-		// mirroring the role -commit-interval plays for shard locks. The
-		// two are separate knobs because every 202 waits for its covering
-		// fsync — a long commit window must not hold admission hostage.
-		wlog, err = wal.Open(wal.Config{Dir: *walDir, SyncInterval: *walSync})
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		replayed, err := ingest.Recover(sum, wlog)
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		log.Printf("higgsd: recovered from %s (items=%d, wal replayed %d edges)",
-			*walDir, sum.Items(), replayed)
-		icfg.WAL = wlog
-	} else if sum, err = buildSummary(*load, *shards); err != nil {
+	if err := o.validate(); err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
-
-	srv, err := server.NewWithIngest(sum, icfg)
+	d, err := assemble(o)
 	if err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
-	if err := setupReadPath(srv, *cacheBytes, *admitHeavy, *admitRate); err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if anaCfg != nil {
-		if eng != nil {
-			srv.SetAnalyticsEngine(eng) // the WAL-recovery engine already observes sum
-		} else if err := srv.SetAnalytics(*anaCfg); err != nil {
-			log.Fatalf("higgsd: analytics: %v", err)
-		}
-		logAnalytics(anaCfg)
-	}
-	var snapper *ingest.Snapshotter
-	if wlog != nil {
-		snapper = ingest.NewSnapshotter(sum, srv.Pipeline(), wlog, snapP, *snapIvl,
-			func(err error) { log.Printf("higgsd: background snapshot: %v", err) })
-		snapper.Start()
-		srv.SetDurability(func() server.DurabilityStatus {
-			st := server.DurabilityStatus{
-				WAL:         true,
-				AppendedSeq: wlog.LastSeq(),
-				SyncedSeq:   wlog.SyncedSeq(),
-				Segments:    wlog.Segments(),
-				SnapshotSeq: snapper.LastSeq(),
-			}
-			if at := snapper.LastTime(); !at.IsZero() {
-				st.SnapshotUnix = at.Unix()
-			}
-			return st
-		})
-	}
-	var retainer *ingest.Retainer
-	if *retWin > 0 {
-		// srv.Pipeline (not its value now): a snapshot upload swaps the
-		// serving pipeline, and retention must follow the live one.
-		retainer, err = ingest.NewRetainer(srv.Pipeline, ingest.RetentionConfig{
-			Window:   *retWin,
-			Interval: *retIvl,
-			OnError:  func(err error) { log.Printf("higgsd: retention: %v", err) },
-		})
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		retainer.Start()
-		srv.SetRetention(func() server.RetentionStatus {
-			st := server.RetentionStatus{
-				Enabled:         true,
-				WindowSeconds:   int64(retainer.Window() / time.Second),
-				IntervalSeconds: int64(retainer.Interval() / time.Second),
-				Runs:            retainer.Runs(),
-				Dropped:         retainer.Dropped(),
-				LastCutoff:      retainer.LastCutoff(),
-			}
-			if at := retainer.LastTime(); !at.IsZero() {
-				st.LastUnix = at.Unix()
-			}
-			return st
-		})
-	}
-	var replSrv *http.Server
-	if *replAddr != "" {
-		// The replication feed gets its own listener: it ships raw WAL
-		// bytes and whole snapshots, an operator surface never exposed
-		// alongside the client API.
-		replSrv = &http.Server{Addr: *replAddr, Handler: repl.NewPrimary(sum, wlog).Handler()}
-		go func() {
-			log.Printf("higgsd: replication feed listening on %s", *replAddr)
-			if err := replSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Fatalf("higgsd: replication: %v", err)
-			}
-		}()
-		srv.SetReplication(func() server.ReplicationStatus {
-			return server.ReplicationStatus{Role: server.RolePrimary, PrimarySeq: wlog.SyncedSeq()}
-		})
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	if *pprof != "" {
-		// The API server uses its own mux, so DefaultServeMux carries only
-		// the pprof handlers — served on a separate listener that is never
-		// exposed alongside the public API.
-		go func() {
-			log.Printf("higgsd: pprof listening on %s", *pprof)
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				log.Printf("higgsd: pprof: %v", err)
-			}
-		}()
-	}
-
-	go func() {
-		log.Printf("higgsd: listening on %s (shards=%d items=%d ingest=%s wal=%v)",
-			*addr, sum.NumShards(), sum.Items(), imode, *walDir != "")
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("higgsd: %v", err)
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	log.Println("higgsd: shutting down")
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("higgsd: shutdown: %v", err)
-	}
-	if replSrv != nil {
-		if err := replSrv.Shutdown(ctx); err != nil {
-			log.Printf("higgsd: replication shutdown: %v", err)
-		}
-	}
-	// Drain accepted-but-uncommitted ingest batches before snapshotting:
-	// a 202 means the edge survives an orderly shutdown.
-	if retainer != nil {
-		retainer.Close() // no expires may race the drain or the final snapshot
-	}
-	if snapper != nil {
-		snapper.Close() // stop the background loop before the final snapshot
-	}
-	srv.Close()
-	if snapper != nil {
-		// Final covering snapshot: the next boot loads it and replays an
-		// empty (truncated) tail.
-		if err := snapper.Snap(); err != nil {
-			log.Printf("higgsd: final snapshot: %v", err)
-		} else {
-			log.Printf("higgsd: snapshot saved to %s", snapP)
-		}
-	}
-	if *save != "" {
-		if err := writeSnapshot(srv.Summary(), *save); err != nil {
-			log.Fatalf("higgsd: save: %v", err)
-		}
-		log.Printf("higgsd: snapshot saved to %s", *save)
-	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			log.Printf("higgsd: wal close: %v", err)
-		}
-	}
+	d.run()
 }
 
-// runFollower is the -replicate-from entrypoint: boot a replication
-// follower (local cache or primary snapshot + WAL tail), serve its summary
-// read-only, and keep tailing until shutdown. A resync — the primary
-// truncated past our resume point — swaps the served summary atomically
-// via server.ReplaceSummary.
-// setupReadPath installs the optional read cache and admission controller
-// (DESIGN.md §16) on a constructed server — shared between the primary and
-// follower entrypoints, since a follower's read path benefits from both at
-// least as much (that is where the read traffic scales out to).
-func setupReadPath(srv *server.Server, cacheBytes int64, admitHeavy int, admitRate float64) error {
-	if cacheBytes > 0 {
-		if err := srv.SetReadCache(cacheBytes); err != nil {
-			return err
-		}
-		log.Printf("higgsd: read cache enabled (%d bytes)", cacheBytes)
+// options are higgsd's flags.
+type options struct {
+	addr, load, save, mode, walDir, pprof string
+	shards, depth                         int
+	commit, walSync, snapIvl              time.Duration
+	retWin, retIvl                        time.Duration
+
+	replAddr, replFrom, replicaDir string
+
+	anaOn    bool
+	anaTopK  int
+	anaEpoch time.Duration
+	anaBurst float64
+
+	cacheBytes int64
+	admitHeavy int
+	admitRate  float64
+	version    bool
+
+	// imode is the parsed -ingest-mode, set by validate.
+	imode ingest.Mode
+}
+
+// newOptions registers higgsd's flags on fs.
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.shards, "shards", 0, "summary shard count (0 = one per CPU)")
+	fs.StringVar(&o.load, "load", "", "snapshot file to restore at startup")
+	fs.StringVar(&o.save, "save", "", "snapshot file to write on shutdown")
+	fs.StringVar(&o.mode, "ingest-mode", "auto", `/v1/ingest admission: "sync", "async", or "auto"`)
+	fs.IntVar(&o.depth, "queue-depth", 4096, "per-shard async ingest queue capacity (edges)")
+	fs.DurationVar(&o.commit, "commit-interval", 0, "group-commit accumulation window (0 = apply as soon as possible)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "durable state directory: write-ahead log segments + snapshot.higgs (empty = no crash durability)")
+	fs.DurationVar(&o.walSync, "wal-sync-interval", 0, "WAL group-fsync accumulation window — bounds how long a 202 waits for its fsync (0 = sync as soon as dirty)")
+	fs.DurationVar(&o.snapIvl, "snapshot-interval", 0, "background snapshot cadence; requires -wal-dir (0 = snapshot only on shutdown)")
+	fs.DurationVar(&o.retWin, "retention-window", 0, "sliding retention window: periodically expire edges older than now minus this (0 = keep everything)")
+	fs.DurationVar(&o.retIvl, "retention-interval", 0, "retention loop cadence; requires -retention-window (0 = window/10, at least 1s)")
+	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private — profiles expose internals")
+
+	fs.StringVar(&o.replAddr, "replication-addr", "", "serve the WAL-shipping replication feed (/repl/*) on this address; requires -wal-dir (empty = disabled); keep it private — it ships the raw log")
+	fs.StringVar(&o.replFrom, "replicate-from", "", "run as a read-only follower of this primary replication URL (e.g. http://primary:9090): reads served, writes answer 403")
+	fs.StringVar(&o.replicaDir, "replica-dir", "", "follower state directory holding the local snapshot cache, so restarts resume from disk; requires -replicate-from")
+
+	fs.BoolVar(&o.anaOn, "analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst sketches maintained in the committer apply path, served by the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
+	fs.IntVar(&o.anaTopK, "analytics-topk", 0, "tracked heavy-hitter candidates per shard and direction (0 = 128); requires -analytics")
+	fs.DurationVar(&o.anaEpoch, "analytics-epoch", 0, "burst-detection epoch length, whole seconds (0 = 1m); requires -analytics")
+	fs.Float64Var(&o.anaBurst, "analytics-burst", 0, "burst threshold: flag a vertex when its current-epoch weight reaches this multiple of its recent-epoch average (0 = 4.0); requires -analytics")
+
+	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "watermark-invalidated read cache byte budget across all shards (0 = disabled, minimum 64KiB)")
+	fs.IntVar(&o.admitHeavy, "admit-heavy", 0, "concurrent heavy-query budget; enables admission control (0 = class budgets at defaults unless -admit-rate set)")
+	fs.Float64Var(&o.admitRate, "admit-rate", 0, "per-client sustained queries/sec token-bucket rate; enables admission control (0 = no per-client rate limit)")
+	fs.BoolVar(&o.version, "version", false, "print the build version and exit")
+	return o
+}
+
+// validate rejects flag values and combinations higgsd cannot serve, and
+// resolves -ingest-mode.
+func (o *options) validate() error {
+	imode, err := ingest.ParseMode(o.mode)
+	if err != nil {
+		return fmt.Errorf("-ingest-mode: %v", err)
 	}
-	if admitHeavy > 0 || admitRate > 0 {
-		ctrl, err := admit.New(admit.Config{
-			HeavyConcurrency: admitHeavy,
-			Rate:             admitRate,
-		})
-		if err != nil {
-			return err
-		}
-		srv.SetAdmission(ctrl)
-		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", admitHeavy, admitRate)
+	o.imode = imode
+	if o.depth <= 0 {
+		// Config treats 0 as "use the default"; an operator passing 0
+		// expects no buffering, which the pipeline does not offer.
+		return fmt.Errorf("-queue-depth %d, need ≥ 1", o.depth)
+	}
+	switch {
+	case o.snapIvl < 0:
+		return fmt.Errorf("-snapshot-interval %v, need ≥ 0", o.snapIvl)
+	case o.walSync < 0:
+		return fmt.Errorf("-wal-sync-interval %v, need ≥ 0", o.walSync)
+	case o.walDir != "" && o.load != "":
+		return errors.New("-load conflicts with -wal-dir (the WAL directory owns its snapshot; remove -load)")
+	case o.retWin < 0:
+		return fmt.Errorf("-retention-window %v, need ≥ 0", o.retWin)
+	case o.retIvl < 0:
+		return fmt.Errorf("-retention-interval %v, need ≥ 0", o.retIvl)
+	case o.retIvl > 0 && o.retWin == 0:
+		return errors.New("-retention-interval requires -retention-window")
+	case o.replAddr != "" && o.walDir == "":
+		return errors.New("-replication-addr requires -wal-dir (the feed ships the write-ahead log)")
+	case o.replicaDir != "" && o.replFrom == "":
+		return errors.New("-replica-dir requires -replicate-from")
+	case o.replFrom != "" && o.walDir != "":
+		return errors.New("-replicate-from conflicts with -wal-dir (a follower's durable state is its primary; use -replica-dir for the local cache)")
+	case o.replFrom != "" && o.load != "":
+		return errors.New("-replicate-from conflicts with -load (the boot snapshot comes from the primary)")
+	case o.replFrom != "" && o.shards != 0:
+		return errors.New("-replicate-from conflicts with -shards (the primary's snapshot fixes the shard count)")
+	case o.replFrom != "" && o.retWin > 0:
+		return errors.New("-replicate-from conflicts with -retention-window (retention runs on the primary and replicates as expire records)")
+	case o.replFrom != "" && o.replAddr != "":
+		return errors.New("-replicate-from conflicts with -replication-addr (chained replication is not supported)")
+	case o.snapIvl > 0 && o.walDir == "" && o.replicaDir == "":
+		return errors.New("-snapshot-interval requires -wal-dir (or -replica-dir on a follower)")
+	case o.cacheBytes < 0:
+		return fmt.Errorf("-cache-bytes %d, need ≥ 0", o.cacheBytes)
+	case o.admitHeavy < 0:
+		return fmt.Errorf("-admit-heavy %d, need ≥ 0", o.admitHeavy)
+	case o.admitRate < 0:
+		return fmt.Errorf("-admit-rate %v, need ≥ 0", o.admitRate)
+	case !o.anaOn && (o.anaTopK != 0 || o.anaEpoch != 0 || o.anaBurst != 0):
+		return errors.New("-analytics-topk/-analytics-epoch/-analytics-burst require -analytics")
+	case o.anaTopK < 0:
+		return fmt.Errorf("-analytics-topk %d, need ≥ 0", o.anaTopK)
+	case o.anaEpoch != 0 && o.anaEpoch < time.Second:
+		return fmt.Errorf("-analytics-epoch %v, need whole seconds ≥ 1s (or 0 for the default)", o.anaEpoch)
+	case o.anaBurst != 0 && o.anaBurst < 1:
+		return fmt.Errorf("-analytics-burst %v, need ≥ 1 (or 0 for the default)", o.anaBurst)
 	}
 	return nil
 }
 
-// logAnalytics reports the effective analytics knobs, resolving the zero
-// values to the engine's documented defaults.
-func logAnalytics(cfg *analytics.Config) {
-	topk, epoch, burst := cfg.TrackK, cfg.EpochSeconds, cfg.BurstFactor
-	if topk == 0 {
-		topk = analytics.DefaultTrackK
-	}
-	if epoch == 0 {
-		epoch = analytics.DefaultEpochSeconds
-	}
-	if burst == 0 {
-		burst = analytics.DefaultBurstFactor
-	}
-	log.Printf("higgsd: analytics enabled (topk=%d epoch=%ds burst=%.1f)", topk, epoch, burst)
+// daemon is one assembled higgsd. Worker fields are nil when the role does
+// not run that worker.
+type daemon struct {
+	o     *options
+	srv   *server.Server
+	snapP string // <wal-dir>/snapshot.higgs
+
+	wlog     *wal.Log
+	snapper  *ingest.Snapshotter
+	retainer *ingest.Retainer
+	feed     *http.Server // a primary's replication feed
+	follower *repl.Follower
+	// ready is closed once srv is set: a follower's resync can fire as
+	// soon as its tail loop starts, before the server exists.
+	ready chan struct{}
 }
 
-func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAddr string, cacheBytes int64, admitHeavy int, admitRate float64, anaCfg *analytics.Config) {
-	// The server is built after the follower boots (it serves the booted
-	// summary), but a resync can fire as soon as the tail loop starts; the
-	// swap callback waits for the pointer. ReplaceSummary no-ops when the
-	// server was already constructed on the swapped-in summary.
-	var srvPtr atomic.Pointer[server.Server]
-	f, err := repl.NewFollower(repl.FollowerConfig{
-		Source:           source,
-		Dir:              dir,
-		SnapshotInterval: snapIvl,
-		OnError:          func(err error) { log.Printf("higgsd: replication: %v", err) },
-		OnSwap: func(old, new *shard.Summary) {
-			for srvPtr.Load() == nil {
-				time.Sleep(10 * time.Millisecond)
+// assemble builds the summary, the server and the background workers for
+// the role the flags select.
+func assemble(o *options) (*daemon, error) {
+	d := &daemon{o: o, ready: make(chan struct{})}
+	cfg := server.Config{Ingest: ingest.DefaultConfig(), CacheBytes: o.cacheBytes}
+	cfg.Ingest.Mode, cfg.Ingest.QueueDepth, cfg.Ingest.CommitInterval = o.imode, o.depth, o.commit
+
+	var sum *shard.Summary
+	var err error
+	switch {
+	case o.replFrom != "":
+		sum, err = d.bootFollower()
+		cfg.Replica = true
+		cfg.Replication = d.followerStatus
+	case o.walDir != "":
+		d.snapP = filepath.Join(o.walDir, snapshotName)
+		sum, err = loadOrNewSummary(d.snapP, o.shards)
+	default:
+		sum, err = buildSummary(o.load, o.shards)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.anaOn {
+		// Registered before WAL replay, so the sketches absorb recovered
+		// edges exactly like live ones; a follower's boot snapshot is served
+		// but not re-counted (DESIGN.md §17).
+		eng, err := analytics.New(analytics.Config{
+			Shards:       sum.NumShards(),
+			Seed:         sum.Config().Core.Seed,
+			TrackK:       o.anaTopK,
+			EpochSeconds: int64(o.anaEpoch / time.Second),
+			BurstFactor:  o.anaBurst,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("analytics: %w", err)
+		}
+		sum.SetApplyObserver(eng)
+		cfg.Analytics = eng
+		c := eng.Config()
+		log.Printf("higgsd: analytics enabled (topk=%d epoch=%ds burst=%.1f)", c.TrackK, c.EpochSeconds, c.BurstFactor)
+	}
+	if o.walDir != "" {
+		// Recovery: latest snapshot + WAL tail replay (DESIGN.md §12). The
+		// WAL group-syncs on its own cadence (-wal-sync-interval): one fsync
+		// covers everything accepted during the accumulation window,
+		// mirroring the role -commit-interval plays for shard locks. The two
+		// are separate knobs because every 202 waits for its covering fsync
+		// — a long commit window must not hold admission hostage.
+		if d.wlog, err = wal.Open(wal.Config{Dir: o.walDir, SyncInterval: o.walSync}); err != nil {
+			return nil, err
+		}
+		replayed, err := ingest.Recover(sum, d.wlog)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("higgsd: recovered from %s (items=%d, wal replayed %d edges)", o.walDir, sum.Items(), replayed)
+		cfg.Ingest.WAL = d.wlog
+		cfg.Durability = d.durability
+	}
+	if o.admitHeavy > 0 || o.admitRate > 0 {
+		if cfg.Admission, err = admit.New(admit.Config{HeavyConcurrency: o.admitHeavy, Rate: o.admitRate}); err != nil {
+			return nil, err
+		}
+	}
+	if o.retWin > 0 {
+		cfg.Retention = d.retention
+	}
+	if o.replAddr != "" {
+		cfg.Replication = d.primaryStatus
+	}
+	if d.srv, err = server.New(sum, cfg); err != nil {
+		return nil, err
+	}
+	close(d.ready)
+	if o.cacheBytes > 0 {
+		log.Printf("higgsd: read cache enabled (%d bytes)", o.cacheBytes)
+	}
+	if cfg.Admission != nil {
+		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", o.admitHeavy, o.admitRate)
+	}
+
+	// Background workers. They start before the listener, so the /healthz
+	// probes above never see a nil worker.
+	if d.wlog != nil {
+		d.snapper = ingest.NewSnapshotter(sum, d.srv.Pipeline(), d.wlog, d.snapP, o.snapIvl,
+			func(err error) { log.Printf("higgsd: background snapshot: %v", err) })
+		d.snapper.Start()
+	}
+	if o.retWin > 0 {
+		// srv.Pipeline (not its value now): a snapshot upload swaps the
+		// serving pipeline, and retention must follow the live one.
+		d.retainer, err = ingest.NewRetainer(d.srv.Pipeline, ingest.RetentionConfig{
+			Window:   o.retWin,
+			Interval: o.retIvl,
+			OnError:  func(err error) { log.Printf("higgsd: retention: %v", err) },
+		})
+		if err != nil {
+			return nil, err
+		}
+		d.retainer.Start()
+	}
+	if o.replAddr != "" {
+		// The replication feed gets its own listener: it ships raw WAL
+		// bytes and whole snapshots, an operator surface never exposed
+		// alongside the client API.
+		d.feed = &http.Server{Addr: o.replAddr, Handler: repl.NewPrimary(sum, d.wlog).Handler()}
+		go func() {
+			log.Printf("higgsd: replication feed listening on %s", o.replAddr)
+			if err := d.feed.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+				log.Fatalf("higgsd: replication: %v", err)
 			}
-			if err := srvPtr.Load().ReplaceSummary(new); err != nil {
+		}()
+	}
+	return d, nil
+}
+
+// bootFollower starts a replication follower (local cache or primary
+// snapshot, then the WAL tail) and returns its booted summary. A resync —
+// the primary truncated past our resume point — swaps the served summary
+// via server.ReplaceSummary, which no-ops when the server was constructed
+// on the swapped-in summary.
+func (d *daemon) bootFollower() (*shard.Summary, error) {
+	f, err := repl.NewFollower(repl.FollowerConfig{
+		Source:           d.o.replFrom,
+		Dir:              d.o.replicaDir,
+		SnapshotInterval: d.o.snapIvl,
+		OnError:          func(err error) { log.Printf("higgsd: replication: %v", err) },
+		OnSwap: func(_, new *shard.Summary) {
+			<-d.ready
+			if err := d.srv.ReplaceSummary(new); err != nil {
 				log.Printf("higgsd: resync swap: %v", err)
 				return
 			}
@@ -496,55 +421,91 @@ func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAdd
 		},
 	})
 	if err != nil {
-		log.Fatalf("higgsd: %v", err)
+		return nil, err
 	}
 	if err := f.Start(); err != nil {
-		log.Fatalf("higgsd: follower boot: %v", err)
+		return nil, fmt.Errorf("follower boot: %w", err)
 	}
-	srv, err := server.NewReplica(f.Summary())
-	if err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if err := setupReadPath(srv, cacheBytes, admitHeavy, admitRate); err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if anaCfg != nil {
-		// A follower's summary applies tailed records through the same shard
-		// entry points as ingest, so the sketches absorb everything
-		// replicated after boot (the boot snapshot itself is served but not
-		// re-counted — DESIGN.md §17); a resync swap rebuilds the engine
-		// with the new summary automatically.
-		if err := srv.SetAnalytics(*anaCfg); err != nil {
-			log.Fatalf("higgsd: analytics: %v", err)
-		}
-		logAnalytics(anaCfg)
-	}
-	srvPtr.Store(srv)
-	srv.SetReplication(func() server.ReplicationStatus {
-		st := f.Status()
-		return server.ReplicationStatus{
-			Role:       server.RoleFollower,
-			Source:     st.Source,
-			AppliedSeq: st.AppliedSeq,
-			PrimarySeq: st.PrimarySeq,
-			Lag:        st.Lag,
-			Resyncs:    st.Resyncs,
-		}
-	})
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	d.follower = f
+	return f.Summary(), nil
+}
 
-	if pprofAddr != "" {
+// durability is the /healthz probe of a WAL-backed primary.
+func (d *daemon) durability() server.DurabilityStatus {
+	st := server.DurabilityStatus{
+		WAL:         true,
+		AppendedSeq: d.wlog.LastSeq(),
+		SyncedSeq:   d.wlog.SyncedSeq(),
+		Segments:    d.wlog.Segments(),
+		SnapshotSeq: d.snapper.LastSeq(),
+	}
+	if at := d.snapper.LastTime(); !at.IsZero() {
+		st.SnapshotUnix = at.Unix()
+	}
+	return st
+}
+
+// retention is the /healthz probe of the background retention loop.
+func (d *daemon) retention() server.RetentionStatus {
+	st := server.RetentionStatus{
+		Enabled:         true,
+		WindowSeconds:   int64(d.retainer.Window() / time.Second),
+		IntervalSeconds: int64(d.retainer.Interval() / time.Second),
+		Runs:            d.retainer.Runs(),
+		Dropped:         d.retainer.Dropped(),
+		LastCutoff:      d.retainer.LastCutoff(),
+	}
+	if at := d.retainer.LastTime(); !at.IsZero() {
+		st.LastUnix = at.Unix()
+	}
+	return st
+}
+
+// primaryStatus is the /healthz replication probe of a primary serving a
+// feed.
+func (d *daemon) primaryStatus() server.ReplicationStatus {
+	return server.ReplicationStatus{Role: server.RolePrimary, PrimarySeq: d.wlog.SyncedSeq()}
+}
+
+// followerStatus is the /healthz replication probe of a follower.
+func (d *daemon) followerStatus() server.ReplicationStatus {
+	st := d.follower.Status()
+	return server.ReplicationStatus{
+		Role:       server.RoleFollower,
+		Source:     st.Source,
+		AppliedSeq: st.AppliedSeq,
+		PrimarySeq: st.PrimarySeq,
+		Lag:        st.Lag,
+		Resyncs:    st.Resyncs,
+	}
+}
+
+// run serves until SIGINT/SIGTERM, then shuts down in order: HTTP, the
+// replication feed or tail, retention, the snapshot loop, the pipeline
+// drain, the final snapshot, -save, and the WAL.
+func (d *daemon) run() {
+	o := d.o
+	if o.pprof != "" {
+		// The API server uses its own mux, so DefaultServeMux carries only
+		// the pprof handlers — served on a separate listener that is never
+		// exposed alongside the public API.
 		go func() {
-			log.Printf("higgsd: pprof listening on %s", pprofAddr)
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
+			log.Printf("higgsd: pprof listening on %s", o.pprof)
+			if err := http.ListenAndServe(o.pprof, nil); err != nil {
 				log.Printf("higgsd: pprof: %v", err)
 			}
 		}()
 	}
+	httpSrv := &http.Server{Addr: o.addr, Handler: d.srv.Handler()}
 	go func() {
-		st := f.Status()
-		log.Printf("higgsd: follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
-			source, addr, srv.Summary().NumShards(), srv.Summary().Items(), st.AppliedSeq)
+		sum := d.srv.Summary()
+		if d.follower != nil {
+			log.Printf("higgsd: follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
+				o.replFrom, o.addr, sum.NumShards(), sum.Items(), d.follower.Status().AppliedSeq)
+		} else {
+			log.Printf("higgsd: listening on %s (shards=%d items=%d ingest=%s wal=%v)",
+				o.addr, sum.NumShards(), sum.Items(), o.imode, d.wlog != nil)
+		}
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("higgsd: %v", err)
 		}
@@ -559,13 +520,42 @@ func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAdd
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("higgsd: shutdown: %v", err)
 	}
-	f.Close() // stop tailing (and swapping) before touching the summary
-	srv.Close()
-	if save != "" {
-		if err := writeSnapshot(srv.Summary(), save); err != nil {
+	if d.feed != nil {
+		if err := d.feed.Shutdown(ctx); err != nil {
+			log.Printf("higgsd: replication shutdown: %v", err)
+		}
+	}
+	if d.follower != nil {
+		d.follower.Close() // stop tailing (and swapping) before touching the summary
+	}
+	if d.retainer != nil {
+		d.retainer.Close() // no expires may race the drain or the final snapshot
+	}
+	if d.snapper != nil {
+		d.snapper.Close() // stop the background loop before the final snapshot
+	}
+	// Drain accepted-but-uncommitted ingest batches before snapshotting:
+	// a 202 means the edge survives an orderly shutdown.
+	d.srv.Close()
+	if d.snapper != nil {
+		// Final covering snapshot: the next boot loads it and replays an
+		// empty (truncated) tail.
+		if err := d.snapper.Snap(); err != nil {
+			log.Printf("higgsd: final snapshot: %v", err)
+		} else {
+			log.Printf("higgsd: snapshot saved to %s", d.snapP)
+		}
+	}
+	if o.save != "" {
+		if err := ingest.WriteSnapshot(d.srv.Summary(), o.save); err != nil {
 			log.Fatalf("higgsd: save: %v", err)
 		}
-		log.Printf("higgsd: snapshot saved to %s", save)
+		log.Printf("higgsd: snapshot saved to %s", o.save)
+	}
+	if d.wlog != nil {
+		if err := d.wlog.Close(); err != nil {
+			log.Printf("higgsd: wal close: %v", err)
+		}
 	}
 }
 
@@ -604,22 +594,4 @@ func buildSummary(load string, shards int) (*shard.Summary, error) {
 	cfg := shard.DefaultConfig()
 	cfg.Shards = shards
 	return shard.New(cfg)
-}
-
-func writeSnapshot(sum *shard.Summary, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := sum.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -36,7 +36,7 @@ const readCacheBudget int64 = 4 << 20
 //     DoBatch answers after every epoch of an interleaved
 //     ingest → expire → summary-swap sequence. The expire must actually
 //     reclaim leaves (a vacuous expire would not exercise invalidation),
-//     and the swap rebuilds the cache the way server.ReplaceSummary does.
+//     and the swap rebuilds the cache the way a server summary swap does.
 //   - zero-lock full hits: replaying an identical batch against a warm
 //     cache must reach the backend zero times, measured by a counting
 //     Backend — the cache strengthens the planner's ≤1-lock-per-shard
@@ -173,7 +173,7 @@ func readCacheRun(ds *Dataset, n int, seed int64) (readCacheResult, error) {
 		res.epochs++
 	}
 	// Epoch 5 — summary swap: a fresh summary with different content and a
-	// fresh cache bound to it, exactly what server.ReplaceSummary installs.
+	// fresh cache bound to it, exactly what a server summary swap installs.
 	swapped, err := shard.New(cfg)
 	if err != nil {
 		return res, fmt.Errorf("bench: readcache %d: %w", n, err)

@@ -357,7 +357,7 @@ func replRestart(ds *Dataset, n int, seed uint64) error {
 
 // replReadScaling measures /v2/query throughput against one vs two
 // read-only replicas of the same primary, each a converged follower
-// served by server.NewReplica. Returns queries/s for both pool sizes.
+// served by a read-only server.Server. Returns queries/s for both pool sizes.
 func replReadScaling(ds *Dataset, n int, seed uint64) (q1, q2 float64, err error) {
 	fail := func(err error) (float64, float64, error) {
 		return 0, 0, fmt.Errorf("bench: replication read scale-out: %w", err)
@@ -380,7 +380,7 @@ func replReadScaling(ds *Dataset, n int, seed uint64) (q1, q2 float64, err error
 		if err := converge(r, f); err != nil {
 			return fail(err)
 		}
-		srv, err := server.NewReplica(f.Summary())
+		srv, err := server.New(f.Summary(), server.Config{Replica: true})
 		if err != nil {
 			return fail(err)
 		}

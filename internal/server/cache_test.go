@@ -43,14 +43,11 @@ func summaryWithWeight(t *testing.T, w int64) *shard.Summary {
 // may have swapped — but not yet published — generation a+1).
 func TestNoStaleCacheAcrossReplaceSummary(t *testing.T) {
 	const swaps = 60
-	srv, err := NewReplica(summaryWithWeight(t, 1))
+	srv, err := New(summaryWithWeight(t, 1), Config{Replica: true, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 
 	var gen atomic.Int64
 	var wg sync.WaitGroup
@@ -129,10 +126,7 @@ func queryEdgeWeight(srv *Server) int64 {
 // TestCacheOverHTTPSwap drives the same swap race over real HTTP, the
 // end-to-end surface a replica's clients use.
 func TestCacheOverHTTPSwap(t *testing.T) {
-	srv, ts := newReplicaServer(t, 2)
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
+	srv, ts := newReplicaServer(t, 2, Config{CacheBytes: 1 << 20})
 	// Seeded summary: edge 1→2 = 7. Query twice (fill + hit), then swap
 	// and require the new answer immediately.
 	for i := 0; i < 2; i++ {
@@ -150,9 +144,15 @@ func TestCacheOverHTTPSwap(t *testing.T) {
 	}
 }
 
-// TestSetReadCacheValidates pins the budget guard rails: sub-minimum
+// TestSetReadCacheValidates pins the budget guard rails, at construction
+// and through the setter kept for the benchmark module: sub-minimum
 // budgets are rejected, 0 disables cleanly.
 func TestSetReadCacheValidates(t *testing.T) {
+	sum := summaryWithWeight(t, 1)
+	defer sum.Close()
+	if _, err := New(sum, Config{CacheBytes: 1}); err == nil {
+		t.Fatal("New accepted a 1-byte cache budget")
+	}
 	srv, _ := newTestServerShards(t, 2)
 	if err := srv.SetReadCache(1); err == nil {
 		t.Fatal("accepted a 1-byte cache budget")

@@ -195,12 +195,11 @@ func TestErrorEnvelopeItemCodes(t *testing.T) {
 // TestErrorEnvelopeAdmission: admission shed answers 429 with the envelope,
 // a rate_limited code, and a pacing hint.
 func TestErrorEnvelopeAdmission(t *testing.T) {
-	srv, ts := newTestServer(t)
 	ctrl, err := admit.New(admit.Config{Rate: 0.001, Burst: 1, RetryAfter: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(ctrl)
+	_, ts := newConfiguredServer(t, 4, Config{Admission: ctrl})
 	// The first query drains the client's only token; the second sheds.
 	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=10")
 	resp.Body.Close()
@@ -235,7 +234,7 @@ func TestErrorEnvelopeReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewReplica(sum)
+	srv, err := New(sum, Config{Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +257,10 @@ func TestErrorEnvelopeReplica(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeWALOwned: with durability installed, a snapshot upload
-// answers 409 wal_owned.
+// TestErrorEnvelopeWALOwned: with a write-ahead log behind the pipeline,
+// a snapshot upload answers 409 wal_owned.
 func TestErrorEnvelopeWALOwned(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.SetDurability(func() DurabilityStatus { return DurabilityStatus{WAL: true} })
+	_, ts := newWALServer(t)
 	resp := post(t, ts.URL+"/v1/snapshot", "irrelevant")
 	checkEnvelope(t, "snapshot upload", resp, 409, httpapi.CodeWALOwned)
 }

@@ -33,9 +33,12 @@ func newSeededSummary(t *testing.T, shards int) *shard.Summary {
 	return sum
 }
 
-func newReplicaServer(t *testing.T, shards int) (*Server, *httptest.Server) {
+// newReplicaServer builds a read-only replica over a seeded summary,
+// assembled from cfg with Replica set.
+func newReplicaServer(t *testing.T, shards int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := NewReplica(newSeededSummary(t, shards))
+	cfg.Replica = true
+	srv, err := New(newSeededSummary(t, shards), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func newReplicaServer(t *testing.T, shards int) (*Server, *httptest.Server) {
 // surface — /v1 point queries, stats, snapshot download, /v2 batch — from
 // its replicated summary.
 func TestReplicaServesReads(t *testing.T) {
-	_, ts := newReplicaServer(t, 4)
+	_, ts := newReplicaServer(t, 4, Config{})
 
 	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
 	if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
@@ -89,7 +92,7 @@ func TestReplicaServesReads(t *testing.T) {
 // TestReplicaRejectsWrites checks every mutating endpoint answers 403 on a
 // replica, leaving the summary untouched.
 func TestReplicaRejectsWrites(t *testing.T) {
-	_, ts := newReplicaServer(t, 2)
+	_, ts := newReplicaServer(t, 2, Config{})
 	writes := []struct {
 		path, body string
 	}{
@@ -121,7 +124,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 // TestReplicaReplaceSummary checks the resync swap: reads atomically cut
 // over to the new summary, and ReplaceSummary is refused on a non-replica.
 func TestReplicaReplaceSummary(t *testing.T) {
-	srv, ts := newReplicaServer(t, 2)
+	srv, ts := newReplicaServer(t, 2, Config{})
 
 	cfg := shard.DefaultConfig()
 	cfg.Shards = 2
@@ -181,10 +184,9 @@ func TestHealthzContract(t *testing.T) {
 		{
 			name: "primary",
 			build: func(t *testing.T) *httptest.Server {
-				srv, ts := newTestServerShards(t, 2)
-				srv.SetReplication(func() ReplicationStatus {
+				_, ts := newConfiguredServer(t, 2, Config{Replication: func() ReplicationStatus {
 					return ReplicationStatus{Role: RolePrimary, PrimarySeq: 42}
-				})
+				}})
 				return ts
 			},
 			shards: 2,
@@ -194,8 +196,7 @@ func TestHealthzContract(t *testing.T) {
 		{
 			name: "follower",
 			build: func(t *testing.T) *httptest.Server {
-				srv, ts := newReplicaServer(t, 2)
-				srv.SetReplication(func() ReplicationStatus {
+				_, ts := newReplicaServer(t, 2, Config{Replication: func() ReplicationStatus {
 					return ReplicationStatus{
 						Role:       RoleFollower,
 						Source:     "http://primary:7422",
@@ -204,7 +205,7 @@ func TestHealthzContract(t *testing.T) {
 						Lag:        2,
 						Resyncs:    1,
 					}
-				})
+				}})
 				return ts
 			},
 			shards: 2,
@@ -323,15 +324,11 @@ func TestHealthzContract(t *testing.T) {
 // read_cache and admission blocks: counters appear once the features are
 // switched on and reflect served traffic.
 func TestHealthzCacheAndAdmissionEnabled(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 	ctrl, err := admit.New(admit.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(ctrl)
+	_, ts := newConfiguredServer(t, 2, Config{CacheBytes: 1 << 20, Admission: ctrl})
 
 	post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":3,"t":10}]`)
 	// Two identical queries: a miss then a hit.
@@ -396,7 +393,7 @@ func sortedKeysAny(m map[string]any) []string {
 // swaps summaries underneath (run with -race): readers must always see one
 // complete summary, never a torn or closed one.
 func TestReplicaEndToEndSwapUnderReads(t *testing.T) {
-	srv, ts := newReplicaServer(t, 2)
+	srv, ts := newReplicaServer(t, 2, Config{})
 	stop := make(chan struct{})
 	errs := make(chan error, 1)
 	go func() {

@@ -32,19 +32,27 @@
 // snapshot upload, which by design discards the entire served summary,
 // accepted-but-uncommitted edges included.
 //
-// With a write-ahead log behind the pipeline (higgsd -wal-dir, DESIGN.md
-// §12) the 202 contract strengthens from process-lifetime to crash
-// durability: the batch is fsync'd before the response, GET /healthz
-// reports the WAL/snapshot state in its "durability" field, and POST
-// /v1/snapshot is rejected with 409 — the log owns the durable state, and
-// swapping in a foreign summary would desynchronize its watermarks from
-// the log's sequences.
+// With a write-ahead log behind the pipeline (Config.Ingest.WAL, higgsd
+// -wal-dir, DESIGN.md §12) the 202 contract strengthens from
+// process-lifetime to crash durability: the batch is fsync'd before the
+// response, GET /healthz reports the log's state through the Durability
+// probe, and POST /v1/snapshot is rejected with 409 — the log owns the
+// durable state, and swapping in a foreign summary would desynchronize its
+// watermarks from the log's sequences.
 //
 // Retention is a write: POST /v1/expire drops everything wholly before a
 // cutoff through the pipeline's sequenced (and, with a WAL, logged and
 // fsync'd) expire path, so expired edges stay expired across a crash
 // (DESIGN.md §13). higgsd's background retention loop uses the same path
 // and reports its counters in /healthz's "retention" field.
+//
+// A Server is assembled once, from one Config: the ingest pipeline, the
+// read-only replica switch, the read cache, admission control, the
+// analytics engine, and the /healthz status probes. One builder turns a
+// summary and the Config into the served state, at construction and again
+// on every summary swap (snapshot upload, replica resync), so the
+// swapped-together unit — summary, pipeline, cache, engine — can never
+// disagree about which summary it belongs to.
 package server
 
 import (
@@ -80,42 +88,219 @@ type Edge struct {
 	T int64  `json:"t"`
 }
 
-// state pairs the served summary with the ingest pipeline feeding it. The
-// two must swap together on snapshot upload — a pipeline drains into
-// exactly the summary it was built over. The read prober (and its cache,
-// when enabled) swaps with them: a cache is bound to exactly one summary's
-// shard versions, so replacing the summary replaces — and thereby busts —
-// the cache in the same atomic pointer swap (DESIGN.md §16).
-type state struct {
-	sum  *shard.Summary
-	pipe *ingest.Pipeline
-	// read is the prober every query endpoint runs: the summary itself,
-	// or a watermark-invalidated cache over it (SetReadCache).
-	read query.Prober
-	// cache is non-nil exactly when read is the cache, for /healthz stats.
-	cache *rcache.Cache
-	// eng is the analytics engine observing sum (nil when analytics is
-	// off). It swaps with the summary: the sketches mirror exactly one
-	// summary's apply stream, so replacing the summary replaces the engine
-	// in the same atomic pointer swap (DESIGN.md §17).
-	eng *analytics.Engine
+// Config selects everything optional about a Server. The zero Config is a
+// writable server with the default ingest pipeline and no optional
+// subsystem. New validates every field up front.
+type Config struct {
+	// Ingest configures the /v1/ingest group-commit pipeline (cmd/higgsd
+	// maps -ingest-mode, -queue-depth, -commit-interval and -wal-dir onto
+	// it). A non-nil Ingest.WAL makes the log the owner of the durable
+	// state: POST /v1/snapshot then answers 409. A replica ignores Ingest
+	// and runs a sync-mode pipeline that no write ever reaches.
+	Ingest ingest.Config
+	// Replica makes the server a read-only replication follower: every
+	// query endpoint works (the follower applies records under per-shard
+	// write locks, exactly like ingest), every write endpoint answers 403,
+	// and ReplaceSummary swaps in resynced summaries.
+	Replica bool
+	// CacheBytes is the budget of a watermark-invalidated result cache
+	// over the served summary (DESIGN.md §16): 0 disables it, anything
+	// else must be at least rcache.MinBytes. Every summary swap builds a
+	// fresh cache, which is what busts it.
+	CacheBytes int64
+	// Admission, when non-nil, fronts every query endpoint. Shed requests
+	// answer 429 with a Retry-After pacing hint; write and operational
+	// endpoints are not admission-controlled (ingest has its own
+	// backpressure).
+	Admission *admit.Controller
+	// Analytics is a stream-analytics engine (DESIGN.md §17) the caller has
+	// already registered as the summary's apply observer — the server never
+	// registers it, so a caller may register a wrapper around it instead.
+	// Every summary swap builds a fresh engine from its Config(), with
+	// Shards and Seed taken from the new summary, and registers that one;
+	// the new summary's existing contents are not back-filled.
+	Analytics *analytics.Engine
+	// Durability, Retention and Replication are the probes /healthz calls
+	// for its "durability", "retention" and "replication" fields. A nil
+	// probe reports the zero status (RoleStandalone for replication).
+	Durability  func() DurabilityStatus
+	Retention   func() RetentionStatus
+	Replication func() ReplicationStatus
 }
 
-// Server wraps a sharded HIGGS summary with an HTTP API. The
-// summary/pipeline pair is swapped atomically on snapshot upload, so
-// in-flight requests always see a consistent summary.
+// validate reports the first field of c that cannot serve sum.
+func (c Config) validate(sum *shard.Summary) error {
+	if err := c.Ingest.Validate(); err != nil {
+		return err
+	}
+	if c.CacheBytes != 0 {
+		if err := (rcache.Config{MaxBytes: c.CacheBytes}).Validate(); err != nil {
+			return err
+		}
+	}
+	if c.Analytics != nil && c.Analytics.Config().Shards != sum.NumShards() {
+		return fmt.Errorf("server: analytics engine has %d shards, summary has %d",
+			c.Analytics.Config().Shards, sum.NumShards())
+	}
+	return nil
+}
+
+// state is the swapped-together unit of serving state: a summary, the
+// ingest pipeline feeding it, the read prober over it, and the config it
+// was built with. A pipeline drains into exactly the summary it was built
+// over, a cache is bound to exactly one summary's shard versions, and an
+// engine mirrors exactly one summary's apply stream, so all of them change
+// in the same atomic pointer swap (DESIGN.md §16–§17).
+type state struct {
+	cfg  Config
+	sum  *shard.Summary
+	pipe *ingest.Pipeline
+	// read is the prober every query endpoint runs: the summary itself, or
+	// cache when CacheBytes is set.
+	read  query.Prober
+	cache *rcache.Cache
+}
+
+// newState is the one builder of serving state. cfg has been validated,
+// and cfg.Analytics (if any) already observes sum.
+func newState(sum *shard.Summary, pipe *ingest.Pipeline, cfg Config) (*state, error) {
+	st := &state{cfg: cfg, sum: sum, pipe: pipe, read: sum}
+	if cfg.CacheBytes > 0 {
+		c, err := rcache.New(sum, rcache.Config{MaxBytes: cfg.CacheBytes})
+		if err != nil {
+			return nil, err
+		}
+		st.cache, st.read = c, c
+	}
+	return st, nil
+}
+
+// Server wraps a sharded HIGGS summary with an HTTP API. The served state
+// is replaced atomically on a summary swap, so in-flight requests always
+// see one consistent summary.
 type Server struct {
-	st          atomic.Pointer[state]
-	icfg        ingest.Config
-	closed      atomic.Bool
-	replica     bool
-	start       time.Time
-	cacheBytes  atomic.Int64
-	anaCfg      atomic.Pointer[analytics.Config]
-	admission   atomic.Pointer[admit.Controller]
-	durability  atomic.Pointer[func() DurabilityStatus]
-	retention   atomic.Pointer[func() RetentionStatus]
-	replication atomic.Pointer[func() ReplicationStatus]
+	st atomic.Pointer[state]
+	// mu serializes every state change — swaps, the kept setters, Close —
+	// so each one rebuilds from the state the previous one published.
+	mu     sync.Mutex
+	closed atomic.Bool
+	start  time.Time
+}
+
+// New returns a server over the given sharded summary, assembled from cfg.
+func New(sum *shard.Summary, cfg Config) (*Server, error) {
+	if cfg.Replica {
+		cfg.Ingest = ingest.Config{Mode: ingest.ModeSync}
+	}
+	if err := cfg.validate(sum); err != nil {
+		return nil, err
+	}
+	pipe, err := ingest.New(sum, cfg.Ingest)
+	if err != nil {
+		return nil, err
+	}
+	st, err := newState(sum, pipe, cfg)
+	if err != nil {
+		pipe.Close()
+		return nil, err
+	}
+	s := &Server{start: time.Now()}
+	s.st.Store(st)
+	return s, nil
+}
+
+// NewWithIngest is New(sum, Config{Ingest: icfg}). It is kept for the
+// benchmark module (loadbench), which builds against this signature.
+func NewWithIngest(sum *shard.Summary, icfg ingest.Config) (*Server, error) {
+	return New(sum, Config{Ingest: icfg})
+}
+
+// SetReadCache sets Config.CacheBytes on a constructed server and rebuilds
+// the served state with a fresh cache (or none, with maxBytes 0). It is
+// kept for the benchmark module (loadbench); new code sets the field.
+func (s *Server) SetReadCache(maxBytes int64) error {
+	return s.reconfigure(func(c *Config) { c.CacheBytes = maxBytes })
+}
+
+// SetAdmission sets Config.Admission on a constructed server (nil removes
+// it). It is kept for the benchmark module (loadbench); new code sets the
+// field.
+func (s *Server) SetAdmission(c *admit.Controller) {
+	_ = s.reconfigure(func(cfg *Config) { cfg.Admission = c }) // a controller never fails validation
+}
+
+// SetAnalyticsEngine sets Config.Analytics on a constructed server: eng
+// must already observe the served summary. It is kept for the benchmark
+// module (loadbench), which registers a tracing wrapper around eng; new
+// code sets the field.
+func (s *Server) SetAnalyticsEngine(eng *analytics.Engine) {
+	if err := s.reconfigure(func(c *Config) { c.Analytics = eng }); err != nil {
+		panic(err) // an engine sized for another summary is a caller bug
+	}
+}
+
+// reconfigure applies fn to the served config and rebuilds the state over
+// the same summary and pipeline.
+func (s *Server) reconfigure(fn func(*Config)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.st.Load()
+	cfg := old.cfg
+	fn(&cfg)
+	if err := cfg.validate(old.sum); err != nil {
+		return err
+	}
+	st, err := newState(old.sum, old.pipe, cfg)
+	if err != nil {
+		return err
+	}
+	s.st.Store(st)
+	return nil
+}
+
+// swap serves sum in place of the current summary — the one path snapshot
+// upload and ReplaceSummary share. The new state is built by newState
+// with the served config; an analytics engine is rebuilt for sum and
+// registered before the state is published, so it sees every apply sum
+// receives once served. The old pipeline then drains into the old summary
+// before both close: requests already accepted complete their contract
+// against the summary they targeted, even though it is being discarded.
+func (s *Server) swap(sum *shard.Summary) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.st.Load()
+	if old.sum == sum {
+		return nil
+	}
+	cfg := old.cfg
+	if cfg.Analytics != nil {
+		acfg := cfg.Analytics.Config()
+		acfg.Shards, acfg.Seed = sum.NumShards(), sum.Config().Core.Seed
+		eng, err := analytics.New(acfg)
+		if err != nil {
+			return err
+		}
+		cfg.Analytics = eng
+	}
+	pipe, err := ingest.New(sum, cfg.Ingest)
+	if err != nil {
+		return err
+	}
+	st, err := newState(sum, pipe, cfg)
+	if err != nil {
+		pipe.Close()
+		return err
+	}
+	if cfg.Analytics != nil {
+		sum.SetApplyObserver(cfg.Analytics)
+	}
+	s.st.Store(st)
+	old.pipe.Close()
+	old.sum.Close()
+	if s.closed.Load() {
+		pipe.Close() // nothing may outlive Close's drain contract
+	}
+	return nil
 }
 
 // DurabilityStatus is the WAL/snapshot state /healthz reports (DESIGN.md
@@ -137,15 +322,6 @@ type DurabilityStatus struct {
 	SnapshotUnix int64 `json:"snapshot_unix,omitempty"`
 }
 
-// SetDurability installs the probe /healthz calls for the "durability"
-// field and marks the server's durable state as WAL-owned: POST
-// /v1/snapshot is then rejected with 409, because replacing the served
-// summary underneath a live log would desynchronize snapshot watermarks
-// from the log's sequences. cmd/higgsd installs it when -wal-dir is set.
-func (s *Server) SetDurability(fn func() DurabilityStatus) {
-	s.durability.Store(&fn)
-}
-
 // RetentionStatus is the sliding-window retention state /healthz reports
 // (DESIGN.md §13). All counters cover the background loop; expires issued
 // directly over POST /v1/expire are not included.
@@ -164,12 +340,6 @@ type RetentionStatus struct {
 	LastCutoff int64 `json:"last_cutoff,omitempty"`
 	// LastUnix is when the latest tick completed (Unix seconds).
 	LastUnix int64 `json:"last_unix,omitempty"`
-}
-
-// SetRetention installs the probe /healthz calls for the "retention"
-// field. cmd/higgsd installs it when -retention-window is set.
-func (s *Server) SetRetention(fn func() RetentionStatus) {
-	s.retention.Store(&fn)
 }
 
 // Replication roles reported in /healthz's "replication" field.
@@ -202,74 +372,10 @@ type ReplicationStatus struct {
 	Resyncs int64 `json:"resyncs,omitempty"`
 }
 
-// SetReplication installs the probe /healthz calls for the "replication"
-// field. cmd/higgsd installs it in both replication roles; without it the
-// field reports RoleStandalone.
-func (s *Server) SetReplication(fn func() ReplicationStatus) {
-	s.replication.Store(&fn)
-}
-
 // Pipeline returns the ingest pipeline currently feeding the served
 // summary, so operational layers (the background snapshotter) can flush
 // it. With durability enabled the pair is never swapped.
 func (s *Server) Pipeline() *ingest.Pipeline { return s.st.Load().pipe }
-
-// New returns a server over the given sharded summary with the default
-// ingest pipeline configuration.
-func New(sum *shard.Summary) *Server {
-	s, err := NewWithIngest(sum, ingest.DefaultConfig())
-	if err != nil {
-		// DefaultConfig always validates; reaching here is a bug.
-		panic(err)
-	}
-	return s
-}
-
-// NewWithIngest returns a server over the given sharded summary whose
-// /v1/ingest endpoint runs the group-commit pipeline with the given
-// configuration (cmd/higgsd maps -ingest-mode, -queue-depth, and
-// -commit-interval onto it).
-func NewWithIngest(sum *shard.Summary, icfg ingest.Config) (*Server, error) {
-	pipe, err := ingest.New(sum, icfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{icfg: icfg, start: time.Now()}
-	s.st.Store(s.newState(sum, pipe))
-	return s, nil
-}
-
-// newState assembles the swapped-together unit of serving state: summary,
-// pipeline, and — when a cache budget is set — a fresh cache over exactly
-// that summary. Building the cache here, at every swap site, is what makes
-// "bust the cache" and "replace the summary" the same atomic operation.
-func (s *Server) newState(sum *shard.Summary, pipe *ingest.Pipeline) *state {
-	st := &state{sum: sum, pipe: pipe, read: sum}
-	if n := s.cacheBytes.Load(); n > 0 {
-		c, err := rcache.New(sum, rcache.Config{MaxBytes: n})
-		if err != nil {
-			// The budget was validated by SetReadCache; a failure here is a
-			// bug, and serving uncached is strictly safe.
-			return st
-		}
-		st.cache = c
-		st.read = c
-	}
-	if cfgp := s.anaCfg.Load(); cfgp != nil {
-		cfg := *cfgp
-		cfg.Shards = sum.NumShards()
-		cfg.Seed = sum.Config().Core.Seed
-		if eng, err := analytics.New(cfg); err == nil {
-			// Register before the state becomes visible, so the engine sees
-			// every apply the new summary receives once served. The swapped-in
-			// summary's pre-existing contents are not back-filled into the
-			// sketches; heavy hitters re-converge from the live stream.
-			sum.SetApplyObserver(eng)
-			st.eng = eng
-		}
-	}
-	return st
-}
 
 // defaultDeltaCandidates caps the server-filled candidate set of a
 // delta_vertex item that omitted its own: the engine's top tracked
@@ -277,89 +383,12 @@ func (s *Server) newState(sum *shard.Summary, pipe *ingest.Pipeline) *state {
 // convenience default plan thousands of probes.
 const defaultDeltaCandidates = 256
 
-// SetAnalytics enables the stream-analytics subsystem (DESIGN.md §17):
-// an analytics engine is built over the served summary, registered as its
-// apply observer, and rebuilt over the new summary on every later swap —
-// exactly like the read cache, the engine and its summary are one atomic
-// unit. Shards and Seed are derived from the served summary; the zero
-// Config selects the documented defaults. cmd/higgsd maps the -analytics*
-// flags onto it.
-func (s *Server) SetAnalytics(cfg analytics.Config) error {
-	probe := cfg
-	probe.Shards = s.st.Load().sum.NumShards()
-	if err := probe.Validate(); err != nil {
-		return err
-	}
-	s.anaCfg.Store(&cfg)
-	for {
-		old := s.st.Load()
-		if s.st.CompareAndSwap(old, s.newState(old.sum, old.pipe)) {
-			return nil
-		}
-	}
-}
-
-// SetAnalyticsEngine adopts an engine that is already observing the served
-// summary — the WAL-recovery path: cmd/higgsd registers the engine before
-// replaying the log so the sketches absorb recovered edges, then hands it
-// to the server here. Later summary swaps rebuild a fresh engine from the
-// adopted engine's configuration, exactly as SetAnalytics.
-func (s *Server) SetAnalyticsEngine(eng *analytics.Engine) {
-	cfg := eng.Config()
-	s.anaCfg.Store(&cfg)
-	for {
-		old := s.st.Load()
-		next := &state{sum: old.sum, pipe: old.pipe, read: old.read, cache: old.cache, eng: eng}
-		if s.st.CompareAndSwap(old, next) {
-			return
-		}
-		// A concurrent swap installed a state built by newState: it already
-		// carries a fresh engine for its (new) summary, which is correct —
-		// the adopted engine mirrored the old summary. Stop.
-		if s.st.Load().eng != nil {
-			return
-		}
-	}
-}
-
-// SetReadCache installs (or, with maxBytes 0, removes) a watermark-
-// invalidated result cache over the served summary. Every later summary
-// swap — snapshot upload, replica resync — rebuilds a fresh cache over the
-// new summary in the same atomic state swap. Budgets below rcache.MinBytes
-// are rejected.
-func (s *Server) SetReadCache(maxBytes int64) error {
-	if maxBytes != 0 {
-		if err := (rcache.Config{MaxBytes: maxBytes}).Validate(); err != nil {
-			return err
-		}
-	}
-	s.cacheBytes.Store(maxBytes)
-	for {
-		old := s.st.Load()
-		if s.st.CompareAndSwap(old, s.newState(old.sum, old.pipe)) {
-			return nil
-		}
-		// A snapshot upload or resync swapped concurrently; its state was
-		// built by newState and already reflects the new budget. Retry to
-		// make the call's effect unconditional anyway.
-	}
-}
-
-// SetAdmission installs an admission controller in front of every query
-// endpoint (nil removes it). Shed requests answer 429 with a Retry-After
-// pacing hint; write and operational endpoints are not admission-controlled
-// (ingest has its own backpressure).
-func (s *Server) SetAdmission(c *admit.Controller) {
-	s.admission.Store(c)
-}
-
-// admitQuery asks the admission controller (if any) to run a request
-// planning the given number of per-shard probes. It returns the release
+// admitQuery asks the admission controller ctrl (nil admits everything)
+// to run a request planning the given number of per-shard probes. It returns the release
 // callback and true, or answers 429 + Retry-After itself and returns
 // false. The client key is the peer host, so one tenant's token bucket
 // spans its connections but not its ports.
-func (s *Server) admitQuery(w http.ResponseWriter, r *http.Request, probes int) (func(), bool) {
-	ctrl := s.admission.Load()
+func admitQuery(w http.ResponseWriter, r *http.Request, ctrl *admit.Controller, probes int) (func(), bool) {
 	if ctrl == nil {
 		return func() {}, true
 	}
@@ -383,47 +412,18 @@ func (s *Server) admitQuery(w http.ResponseWriter, r *http.Request, probes int) 
 	return release, true
 }
 
-// NewReplica returns a read-only server over a replication follower's
-// summary: every query endpoint works (the summary is live — the follower
-// applies records under per-shard write locks, exactly like ingest), and
-// every write endpoint answers 403, because a replica's state is defined
-// entirely by the primary's record stream — a local write would fork it.
-// The internal pipeline runs in sync mode purely to satisfy the shared
-// plumbing; no writes ever reach it.
-func NewReplica(sum *shard.Summary) (*Server, error) {
-	s, err := NewWithIngest(sum, ingest.Config{Mode: ingest.ModeSync})
-	if err != nil {
-		return nil, err
-	}
-	s.replica = true
-	return s, nil
-}
-
 // ReplaceSummary swaps the served summary — the replica resync path, wired
 // to repl.FollowerConfig.OnSwap: when the primary truncated past the
 // follower's resume point, the follower re-bootstraps from a fresh
-// snapshot and the server must serve it. The old summary is drained and
-// closed exactly like a snapshot upload's. Only replicas may swap this
-// way; on a writable server the summary pairs with its ingest pipeline
-// and swaps only through POST /v1/snapshot.
+// snapshot and the server must serve it. It runs the same swap as a
+// snapshot upload, and is a no-op when sum is already served (a resync
+// that raced the server's construction). Only replicas may swap this way;
+// on a writable server the summary swaps only through POST /v1/snapshot.
 func (s *Server) ReplaceSummary(sum *shard.Summary) error {
-	if !s.replica {
+	if !s.st.Load().cfg.Replica {
 		return errors.New("server: ReplaceSummary is replica-only")
 	}
-	if s.st.Load().sum == sum {
-		return nil // already serving it (a swap raced the server's construction)
-	}
-	pipe, err := ingest.New(sum, s.icfg)
-	if err != nil {
-		return err
-	}
-	old := s.st.Swap(s.newState(sum, pipe))
-	old.pipe.Close()
-	old.sum.Close()
-	if s.closed.Load() {
-		pipe.Close()
-	}
-	return nil
+	return s.swap(sum)
 }
 
 // summary returns the current summary.
@@ -442,18 +442,13 @@ func (s *Server) Summary() *shard.Summary { return s.st.Load().sum }
 // queryable, so a caller persisting state on shutdown closes the server
 // first and snapshots Summary() after. Requests racing with Close may see
 // 503 on /v1/ingest and /v1/snapshot uploads; everything else keeps
-// working. The loop covers a snapshot upload racing with Close: a swapped-
-// in pipeline must be drained too, or its accepted edges would miss the
-// caller's post-Close snapshot.
+// working. Close and swap hold the same mutex, so a swap either finishes
+// before Close drains its pipeline or closes its own new one.
 func (s *Server) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed.Store(true)
-	for {
-		st := s.st.Load()
-		st.pipe.Close()
-		if s.st.Load() == st {
-			return
-		}
-	}
+	s.st.Load().pipe.Close()
 }
 
 // Handler returns the HTTP handler implementing the API.
@@ -502,7 +497,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // it answers 403 and reports true. Writes belong on the primary — a
 // replica's summary is defined by the primary's record stream alone.
 func (s *Server) rejectReplicaWrite(w http.ResponseWriter) bool {
-	if !s.replica {
+	if !s.st.Load().cfg.Replica {
 		return false
 	}
 	httpError(w, http.StatusForbidden, "read-only replica: writes go to the primary")
@@ -742,7 +737,7 @@ func queryU64(r *http.Request, key string) (uint64, error) {
 // planned probe count, exactly like a one-element batch.
 func (s *Server) answerOne(w http.ResponseWriter, r *http.Request, q query.Query) {
 	st := s.st.Load()
-	release, ok := s.admitQuery(w, r, q.ProbeCount(st.sum.NumShards()))
+	release, ok := admitQuery(w, r, st.cfg.Admission, q.ProbeCount(st.sum.NumShards()))
 	if !ok {
 		return
 	}
@@ -920,8 +915,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		// tracked heavy hitters are the natural "what changed most"
 		// candidates. Filled before budgeting so admission sees the real
 		// probe count.
-		if q.Kind == query.KindDeltaVertex && len(q.Candidates) == 0 && st.eng != nil {
-			q.Candidates = st.eng.CandidateVertices(q.Dir, defaultDeltaCandidates)
+		if q.Kind == query.KindDeltaVertex && len(q.Candidates) == 0 && st.cfg.Analytics != nil {
+			q.Candidates = st.cfg.Analytics.CandidateVertices(q.Dir, defaultDeltaCandidates)
 		}
 		if probes += q.ProbeCount(shards); probes > maxBatchProbes {
 			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeProbeBudget,
@@ -931,14 +926,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		batch = append(batch, q)
 		idx = append(idx, i)
 	}
-	release, admitted := s.admitQuery(w, r, probes)
+	release, admitted := admitQuery(w, r, st.cfg.Admission, probes)
 	if !admitted {
 		return
 	}
 	defer release()
 	var eng query.Analytics
-	if st.eng != nil {
-		eng = st.eng
+	if st.cfg.Analytics != nil {
+		eng = st.cfg.Analytics
 	}
 	for j, res := range query.DoBatchWith(st.read, eng, batch) {
 		if res.Err != nil {
@@ -1056,28 +1051,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.st.Load()
 	var durability DurabilityStatus
-	if fn := s.durability.Load(); fn != nil {
-		durability = (*fn)()
+	if fn := st.cfg.Durability; fn != nil {
+		durability = fn()
 	}
 	var retention RetentionStatus
-	if fn := s.retention.Load(); fn != nil {
-		retention = (*fn)()
+	if fn := st.cfg.Retention; fn != nil {
+		retention = fn()
 	}
 	replication := ReplicationStatus{Role: RoleStandalone}
-	if fn := s.replication.Load(); fn != nil {
-		replication = (*fn)()
+	if fn := st.cfg.Replication; fn != nil {
+		replication = fn()
 	}
 	var readCache ReadCacheStatus
 	if st.cache != nil {
 		readCache = ReadCacheStatus{Enabled: true, Stats: st.cache.Stats()}
 	}
 	var admission AdmissionStatus
-	if ctrl := s.admission.Load(); ctrl != nil {
+	if ctrl := st.cfg.Admission; ctrl != nil {
 		admission = AdmissionStatus{Enabled: true, Stats: ctrl.Stats()}
 	}
 	var analyticsStatus AnalyticsStatus
-	if st.eng != nil {
-		analyticsStatus = AnalyticsStatus{Enabled: true, Stats: st.eng.Stats()}
+	if eng := st.cfg.Analytics; eng != nil {
+		analyticsStatus = AnalyticsStatus{Enabled: true, Stats: eng.Stats()}
 	}
 	writeJSON(w, map[string]any{
 		"status":         "ok",
@@ -1119,7 +1114,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusServiceUnavailable, "server shutting down")
 			return
 		}
-		if s.durability.Load() != nil {
+		if s.st.Load().cfg.Ingest.WAL != nil {
 			httpError(w, http.StatusConflict,
 				"snapshot upload disabled: durable state is owned by the write-ahead log (-wal-dir)")
 			return
@@ -1129,26 +1124,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			httpError(w, decodeStatus(err), "snapshot: %v", err)
 			return
 		}
-		pipe, err := ingest.New(loaded, s.icfg)
-		if err != nil {
+		if err := s.swap(loaded); err != nil {
 			// The config was validated at construction; a failure here
 			// means the summary/config pair is somehow unusable.
 			loaded.Close()
-			httpError(w, http.StatusInternalServerError, "ingest pipeline: %v", err)
+			httpError(w, http.StatusInternalServerError, "swap: %v", err)
 			return
-		}
-		old := s.st.Swap(s.newState(loaded, pipe))
-		// Drain the old pipeline into the old summary before closing both:
-		// in-flight /v1/ingest requests that were already accepted complete
-		// their contract against the summary they targeted, even though the
-		// upload then discards that summary wholesale.
-		old.pipe.Close()
-		old.sum.Close()
-		if s.closed.Load() {
-			// Server.Close ran concurrently with the swap; nothing may
-			// outlive its drain contract (Close's own loop usually catches
-			// this — both closes are idempotent).
-			pipe.Close()
 		}
 		writeJSON(w, map[string]any{
 			"loaded": true,

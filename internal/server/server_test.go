@@ -15,6 +15,7 @@ import (
 
 	"higgs/internal/ingest"
 	"higgs/internal/shard"
+	"higgs/internal/wal"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -24,13 +25,23 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 
 func newTestServerShards(t *testing.T, shards int) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := shard.DefaultConfig()
-	cfg.Shards = shards
-	sum, err := shard.New(cfg)
+	return newConfiguredServer(t, shards, Config{})
+}
+
+// newConfiguredServer builds a server over a fresh summary of the given
+// shard count, assembled from cfg.
+func newConfiguredServer(t *testing.T, shards int, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	scfg := shard.DefaultConfig()
+	scfg.Shards = shards
+	sum, err := shard.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sum)
+	srv, err := New(sum, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -360,22 +371,7 @@ func TestConcurrentClients(t *testing.T) {
 // mode with the given queue depth and commit interval.
 func newAsyncTestServer(t *testing.T, shards int, icfg ingest.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := shard.DefaultConfig()
-	cfg.Shards = shards
-	sum, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithIngest(sum, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return newConfiguredServer(t, shards, Config{Ingest: icfg})
 }
 
 // TestIngestAcceptedThenFlushVisible: async writes are 202-accepted, and a
@@ -860,16 +856,16 @@ func TestV2QueryItemCapStreams(t *testing.T) {
 }
 
 func TestHealthzDurability(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
+	_, ts := newTestServerShards(t, 2)
 	// Without durability configured, /healthz reports wal=false.
 	got := decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	d, ok := got["durability"].(map[string]any)
 	if !ok || d["wal"] != false {
 		t.Fatalf("durability without WAL = %v", got["durability"])
 	}
-	srv.SetDurability(func() DurabilityStatus {
+	_, ts = newConfiguredServer(t, 2, Config{Durability: func() DurabilityStatus {
 		return DurabilityStatus{WAL: true, AppendedSeq: 42, SyncedSeq: 40, Segments: 2, SnapshotSeq: 17}
-	})
+	}})
 	got = decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	d, ok = got["durability"].(map[string]any)
 	if !ok {
@@ -986,15 +982,15 @@ func TestV2QueryEmptySubgraph(t *testing.T) {
 // TestHealthzRetention: /healthz reports the retention loop's state once
 // installed.
 func TestHealthzRetention(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
+	_, ts := newTestServerShards(t, 2)
 	got := decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	r, ok := got["retention"].(map[string]any)
 	if !ok || r["enabled"] != false {
 		t.Fatalf("retention without a loop = %v", got["retention"])
 	}
-	srv.SetRetention(func() RetentionStatus {
+	_, ts = newConfiguredServer(t, 2, Config{Retention: func() RetentionStatus {
 		return RetentionStatus{Enabled: true, WindowSeconds: 3600, IntervalSeconds: 60, Runs: 3, Dropped: 12, LastCutoff: 99, LastUnix: 1234}
-	})
+	}})
 	got = decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	r, ok = got["retention"].(map[string]any)
 	if !ok {
@@ -1008,9 +1004,10 @@ func TestHealthzRetention(t *testing.T) {
 	}
 }
 
+// TestSnapshotUploadRejectedWhenWALOwnsState: a server whose pipeline
+// writes a WAL refuses snapshot uploads — no durability probe is needed.
 func TestSnapshotUploadRejectedWhenWALOwnsState(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
-	srv.SetDurability(func() DurabilityStatus { return DurabilityStatus{WAL: true} })
+	_, ts := newWALServer(t)
 	// GET (download) stays available.
 	resp := get(t, ts.URL+"/v1/snapshot")
 	snap, err := io.ReadAll(resp.Body)
@@ -1027,6 +1024,18 @@ func TestSnapshotUploadRejectedWhenWALOwnsState(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("snapshot upload with WAL: status %d, want 409", resp.StatusCode)
 	}
+}
+
+// newWALServer builds a two-shard server whose pipeline writes a real
+// write-ahead log, with no durability probe installed.
+func newWALServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	log, err := wal.Open(wal.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() }) // cleanups run LIFO: after the server's drain
+	return newConfiguredServer(t, 2, Config{Ingest: ingest.Config{WAL: log}})
 }
 
 // TestWriteBodyCaps: every write endpoint rejects an oversized body with

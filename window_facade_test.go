@@ -1,4 +1,3 @@
-//lint:file-ignore SA1019 this file deliberately calls the deprecated constructors to pin wrapper equivalence
 package higgs_test
 
 import (
@@ -6,30 +5,31 @@ import (
 	"testing"
 
 	"higgs"
+	"higgs/internal/query"
 )
 
-// TestWindowFacade: the Window-based constructors, their options, and the
-// deprecated wrappers must all build the same wire queries.
+// TestWindowFacade: the Window-based constructors and their options must
+// build the same wire queries as the planner's positional constructors.
 func TestWindowFacade(t *testing.T) {
 	w := higgs.Between(0, 500)
 	pairs := []struct {
-		name     string
-		new, old higgs.Query
+		name      string
+		got, want higgs.Query
 	}{
-		{"edge", higgs.NewEdgeQuery(1, 2, w), higgs.EdgeQuery(1, 2, 0, 500)},
-		{"vertex out", higgs.NewVertexQuery(1, w), higgs.VertexOutQuery(1, 0, 500)},
+		{"edge", higgs.NewEdgeQuery(1, 2, w), query.NewEdge(1, 2, 0, 500)},
+		{"vertex out", higgs.NewVertexQuery(1, w), query.NewVertexOut(1, 0, 500)},
 		{"vertex out explicit", higgs.NewVertexQuery(1, w, higgs.WithDirection(higgs.DirOut)),
-			higgs.VertexOutQuery(1, 0, 500)},
+			query.NewVertexOut(1, 0, 500)},
 		{"vertex in", higgs.NewVertexQuery(2, w, higgs.WithDirection(higgs.DirIn)),
-			higgs.VertexInQuery(2, 0, 500)},
-		{"path", higgs.NewPathQuery([]uint64{1, 2}, w), higgs.PathQuery([]uint64{1, 2}, 0, 500)},
+			query.NewVertexIn(2, 0, 500)},
+		{"path", higgs.NewPathQuery([]uint64{1, 2}, w), query.NewPath([]uint64{1, 2}, 0, 500)},
 		{"subgraph", higgs.NewSubgraphQuery([][2]uint64{{1, 2}}, w),
-			higgs.SubgraphQuery([][2]uint64{{1, 2}}, 0, 500)},
+			query.NewSubgraph([][2]uint64{{1, 2}}, 0, 500)},
 	}
 	for _, p := range pairs {
-		if p.new.Kind != p.old.Kind || p.new.Ts != p.old.Ts || p.new.Te != p.old.Te ||
-			p.new.Dir != p.old.Dir || p.new.V != p.old.V || p.new.S != p.old.S {
-			t.Errorf("%s: new %+v != wrapper %+v", p.name, p.new, p.old)
+		if p.got.Kind != p.want.Kind || p.got.Ts != p.want.Ts || p.got.Te != p.want.Te ||
+			p.got.Dir != p.want.Dir || p.got.V != p.want.V || p.got.S != p.want.S {
+			t.Errorf("%s: facade %+v != planner %+v", p.name, p.got, p.want)
 		}
 	}
 
