@@ -106,16 +106,34 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 	}
 }
 
-// TestEdgeWeightAllocs: the edge-query hot loop must not allocate.
-func TestEdgeWeightAllocs(t *testing.T) {
+// finalizedFixture builds the finalized summary of the fixture stream.
+func finalizedFixture(t *testing.T) *Summary {
+	t.Helper()
 	st, cfg := loadFixtureStream(t)
 	s := MustNew(cfg)
 	for _, e := range st {
 		s.Insert(e)
 	}
 	s.Finalize()
+	return s
+}
+
+// TestEdgeWeightAllocs: the edge-query hot loop must not allocate.
+func TestEdgeWeightAllocs(t *testing.T) {
+	s := finalizedFixture(t)
 	if n := testing.AllocsPerRun(1000, func() { s.EdgeWeight(5, 7, 0, 1<<40) }); n != 0 {
 		t.Fatalf("EdgeWeight allocates %.2f allocs/op, want 0", n)
+	}
+}
+
+// TestVertexProbeAllocs: the vertex-query hot loops must not allocate.
+func TestVertexProbeAllocs(t *testing.T) {
+	s := finalizedFixture(t)
+	if n := testing.AllocsPerRun(200, func() { s.VertexOut(5, 0, 1<<40) }); n != 0 {
+		t.Fatalf("VertexOut allocates %.2f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.VertexIn(7, 0, 1<<40) }); n != 0 {
+		t.Fatalf("VertexIn allocates %.2f allocs/op, want 0", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"higgs/internal/exact"
@@ -525,4 +526,74 @@ func BenchmarkEdgeQuery(b *testing.B) {
 		ts := int64(i % 900000)
 		s.EdgeWeight(uint64(i%2000), uint64((i+7)%2000), ts, ts+100000)
 	}
+}
+
+// probeFixture is the read shape of a scan workload: a multi-level summary
+// left unfinalized (so ranges reach open spine nodes and leaves), probed
+// with edges drawn from the stream under uniformly random windows.
+type probeFixture struct {
+	s      *Summary
+	edges  []stream.Edge
+	ts, te []int64
+}
+
+var (
+	probeOnce sync.Once
+	probeFix  probeFixture
+)
+
+// probeBatch is the number of probes per benchmark op: one scan batch.
+const probeBatch = 64
+
+func loadProbeFixture(b *testing.B) *probeFixture {
+	b.Helper()
+	probeOnce.Do(func() {
+		st, err := stream.Load(stream.StackOverflow, 0.25)
+		if err != nil {
+			panic(err)
+		}
+		s := MustNew(DefaultConfig())
+		for _, e := range st {
+			s.Insert(e)
+		}
+		rng := rand.New(rand.NewSource(7))
+		first, last := st.Span()
+		const n = 4096
+		probeFix = probeFixture{s: s, edges: make([]stream.Edge, n), ts: make([]int64, n), te: make([]int64, n)}
+		for i := 0; i < n; i++ {
+			probeFix.edges[i] = st[rng.Intn(len(st))]
+			a, z := first+rng.Int63n(last-first+1), first+rng.Int63n(last-first+1)
+			probeFix.ts[i], probeFix.te[i] = min(a, z), max(a, z)
+		}
+	})
+	if probeFix.s.Layers() < 3 {
+		b.Fatalf("probe fixture has %d layers, want a multi-level tree", probeFix.s.Layers())
+	}
+	return &probeFix
+}
+
+var probeSink int64
+
+func benchProbe(b *testing.B, probe func(s *Summary, e stream.Edge, ts, te int64) int64) {
+	f := loadProbeFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < probeBatch; j++ {
+			k := (i*probeBatch + j) % len(f.edges)
+			probeSink += probe(f.s, f.edges[k], f.ts[k], f.te[k])
+		}
+	}
+}
+
+func BenchmarkProbeEdge(b *testing.B) {
+	benchProbe(b, func(s *Summary, e stream.Edge, ts, te int64) int64 { return s.EdgeWeight(e.S, e.D, ts, te) })
+}
+
+func BenchmarkProbeVertexOut(b *testing.B) {
+	benchProbe(b, func(s *Summary, e stream.Edge, ts, te int64) int64 { return s.VertexOut(e.S, ts, te) })
+}
+
+func BenchmarkProbeVertexIn(b *testing.B) {
+	benchProbe(b, func(s *Summary, e stream.Edge, ts, te int64) int64 { return s.VertexIn(e.D, ts, te) })
 }

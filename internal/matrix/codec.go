@@ -21,17 +21,17 @@ func (m *Matrix) Encode(w *wire.Writer) {
 	w.I64(m.startT)
 	w.I64(m.added)
 	w.Int(m.count)
-	for i := range m.slots {
-		e := &m.slots[i]
-		if !e.used {
-			continue
+	for bkt, fill := range m.fills {
+		base := bkt * m.cfg.B
+		for k := base; k < base+int(fill); k++ {
+			v := &m.vals[k]
+			w.Int(k)
+			w.U32(m.keys[k].fpS)
+			w.U32(m.keys[k].fpD)
+			w.U32(v.off)
+			w.I64(v.w)
+			w.U64(uint64(v.idx))
 		}
-		w.Int(i)
-		w.U32(e.fpS)
-		w.U32(e.fpD)
-		w.U32(e.off)
-		w.I64(e.w)
-		w.U64(uint64(e.idx))
 	}
 	w.Int(len(m.spill))
 	for i := range m.spill {
@@ -62,10 +62,11 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 	}
 	// Guard allocations against corrupted or adversarial inputs: a matrix
 	// bigger than 2^28 slots (several GB) is not something this library
-	// ever writes.
+	// ever writes. B is bounded by division so a huge B cannot overflow
+	// the product past the check.
 	const maxSlots = 1 << 28
 	if cfg.B > 0 && cfg.D > 0 {
-		if int64(cfg.D)*int64(cfg.D) > maxSlots || int64(cfg.D)*int64(cfg.D)*int64(cfg.B) > maxSlots {
+		if dd := int64(cfg.D) * int64(cfg.D); dd > maxSlots || int64(cfg.B) > maxSlots/dd {
 			return nil, fmt.Errorf("matrix: decode: implausible geometry %d×%d×%d", cfg.D, cfg.D, cfg.B)
 		}
 	}
@@ -73,46 +74,34 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("matrix: decode: %w", err)
 	}
-	if count < 0 || count > len(m.slots) {
-		return nil, fmt.Errorf("matrix: decode: count %d exceeds capacity %d", count, len(m.slots))
+	if count < 0 || count > len(m.keys) {
+		return nil, fmt.Errorf("matrix: decode: count %d exceeds capacity %d", count, len(m.keys))
 	}
 	m.added = added
+	// Rebuild the per-bucket occupancy prefix from the slot indices. Encode
+	// writes every bucket's slots front to back, so the next slot of a
+	// bucket must sit exactly at its current fill: below it is a duplicate,
+	// above it a gap, which the prefix-based mutators must not trust.
 	for i := 0; i < count; i++ {
 		idx := r.Int()
 		if r.Err() != nil {
 			break
 		}
-		if idx >= len(m.slots) {
-			return nil, fmt.Errorf("matrix: decode: slot index %d out of range %d", idx, len(m.slots))
+		if idx >= len(m.keys) {
+			return nil, fmt.Errorf("matrix: decode: slot index %d out of range %d", idx, len(m.keys))
 		}
-		e := &m.slots[idx]
-		if e.used {
+		bkt, k := idx/m.cfg.B, idx%m.cfg.B
+		switch fill := int(m.fills[bkt]); {
+		case k < fill:
 			return nil, fmt.Errorf("matrix: decode: duplicate slot %d", idx)
+		case k > fill:
+			return nil, fmt.Errorf("matrix: decode: bucket %d occupancy is not a prefix", bkt)
 		}
-		e.fpS = r.U32()
-		e.fpD = r.U32()
-		e.off = r.U32()
-		e.w = r.I64()
-		e.idx = uint8(r.U64())
-		e.used = true
+		m.fills[bkt]++
+		m.keys[idx] = key{fpS: r.U32(), fpD: r.U32()}
+		m.vals[idx] = payload{off: r.U32(), w: r.I64(), idx: uint8(r.U64())}
 	}
 	m.count = count
-	// Rebuild the per-bucket occupancy prefix. Matrices written by Encode
-	// always fill buckets front to back; a gap means a corrupted or
-	// hand-crafted snapshot, which probe fast paths must not trust.
-	for bkt := range m.fills {
-		base := bkt * m.cfg.B
-		fill := 0
-		for k := 0; k < m.cfg.B; k++ {
-			if m.slots[base+k].used {
-				if k != fill {
-					return nil, fmt.Errorf("matrix: decode: bucket %d occupancy is not a prefix", bkt)
-				}
-				fill++
-			}
-		}
-		m.fills[bkt] = uint8(fill)
-	}
 	nspill := r.Int()
 	if r.Err() == nil && nspill > 1<<28 {
 		return nil, fmt.Errorf("matrix: decode: implausible spill count %d", nspill)

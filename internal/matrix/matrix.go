@@ -23,6 +23,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"higgs/internal/hashing"
 )
@@ -54,15 +55,21 @@ func (c Config) Validate() error {
 	}
 }
 
-// slot is one stored entry. Fingerprints and the index pair identify the
-// edge; off is the arrival offset from the matrix start time (timed
-// matrices only).
-type slot struct {
+// A stored entry is split across two slot-indexed arrays. key holds the
+// fingerprints, the only bytes a probe compares, so a bucket's keys sit
+// together in one cache line; payload holds the rest and is read only once
+// a key matches. An empty slot is all zeros in both arrays.
+type key struct {
 	fpS, fpD uint32
-	off      uint32
-	w        int64
-	idx      uint8 // (i << 4) | j: mapping-position pair
-	used     bool
+}
+
+// payload is the cold part of a stored entry: the weight, the arrival
+// offset from the matrix start time (timed matrices only) and the
+// mapping-position pair (i << 4) | j.
+type payload struct {
+	w   int64
+	off uint32
+	idx uint8
 }
 
 // spillEntry preserves an edge that could not be placed during aggregation.
@@ -73,21 +80,32 @@ type spillEntry struct {
 	w            int64
 }
 
+// Element sizes of the Go representation, for HeapBytes and Pool.Stats.
+const (
+	keySize     = int64(unsafe.Sizeof(key{}))
+	payloadSize = int64(unsafe.Sizeof(payload{}))
+	spillSize   = int64(unsafe.Sizeof(spillEntry{}))
+	headerSize  = int64(unsafe.Sizeof(Matrix{}))
+)
+
 // Matrix is a compressed matrix. It is not safe for concurrent mutation;
 // concurrent reads are safe once construction/aggregation has finished.
 //
 // Within every bucket the occupied slots form a prefix: entries are only
 // ever appended at the first free slot and deletion (Sub) decrements
-// weights without vacating slots. fills caches the prefix length per
-// bucket, so probes touch occupied slots only instead of sweeping the full
-// d×d×b grid.
+// weights without vacating slots. fills holds the prefix length per bucket
+// and is the only record of occupancy. Mutators and iterators stay on the
+// prefix. The read-only sums sweep each candidate bucket's whole key block
+// instead: an empty slot has a zero key and zero weight, so matching it adds
+// nothing, and skipping the fills lookup saves a cache line per bucket.
 type Matrix struct {
 	cfg    Config
 	lcg    hashing.LCG
-	slots  []slot  // (row*D + col)*B + k
-	fills  []uint8 // occupied prefix length per bucket, len D*D
+	keys   []key     // (row*D + col)*B + k
+	vals   []payload // parallel to keys
+	fills  []uint8   // occupied prefix length per bucket, len D*D
 	spill  []spillEntry
-	count  int   // used slots
+	count  int   // occupied slots
 	startT int64 // reference time for offsets (timed matrices)
 	added  int64 // items accepted (including merged duplicates)
 }
@@ -98,7 +116,7 @@ func New(cfg Config, startT int64) (*Matrix, error) {
 	return NewIn(nil, cfg, startT)
 }
 
-// NewIn is New drawing the slot and fill backing from p when non-nil.
+// NewIn is New drawing the key, payload and fill backing from p when non-nil.
 // Slabs obtained from a pool are already zeroed (Pool.Put clears them), so
 // steady-state reuse performs no allocation and no memclr on this path.
 func NewIn(p *Pool, cfg Config, startT int64) (*Matrix, error) {
@@ -111,12 +129,7 @@ func NewIn(p *Pool, cfg Config, startT int64) (*Matrix, error) {
 		lcg:    hashing.MustLCG(cfg.D),
 		startT: startT,
 	}
-	if p != nil {
-		m.slots, m.fills = p.get(n, cfg.B)
-	} else {
-		m.slots = make([]slot, n)
-		m.fills = make([]uint8, n/cfg.B)
-	}
+	m.keys, m.vals, m.fills = p.get(n, cfg.B)
 	return m, nil
 }
 
@@ -124,10 +137,10 @@ func NewIn(p *Pool, cfg Config, startT int64) (*Matrix, error) {
 // the matrix. The caller must guarantee no further access; p may be nil, in
 // which case the backing is simply dropped for the GC.
 func (m *Matrix) Release(p *Pool) {
-	if p != nil && m.slots != nil {
-		p.put(m.slots, m.fills)
+	if m.keys != nil {
+		p.put(m.keys, m.vals, m.fills)
 	}
-	m.slots, m.fills, m.spill = nil, nil, nil
+	m.keys, m.vals, m.fills, m.spill = nil, nil, nil, nil
 	m.count = 0
 }
 
@@ -144,30 +157,30 @@ func (m *Matrix) Count() int { return m.count }
 func (m *Matrix) SpillCount() int { return len(m.spill) }
 
 // Capacity returns the total number of slots.
-func (m *Matrix) Capacity() int { return len(m.slots) }
+func (m *Matrix) Capacity() int { return len(m.keys) }
 
 // Utilization returns occupied slots over capacity (paper §V-A, E(α)).
 func (m *Matrix) Utilization() float64 {
-	if len(m.slots) == 0 {
+	if len(m.keys) == 0 {
 		return 0
 	}
-	return float64(m.count) / float64(len(m.slots))
+	return float64(m.count) / float64(len(m.keys))
 }
 
 // Added returns the number of items this matrix accepted, counting merges.
 func (m *Matrix) Added() int64 { return m.added }
 
-func (m *Matrix) bucket(row, col uint32) []slot {
-	base := (int(row)*int(m.cfg.D) + int(col)) * m.cfg.B
-	return m.slots[base : base+m.cfg.B]
+// block returns the slot range [lo, hi) of a bucket's whole key block.
+func (m *Matrix) block(row, col uint32) (lo, hi int) {
+	lo = (int(row)*int(m.cfg.D) + int(col)) * m.cfg.B
+	return lo, lo + m.cfg.B
 }
 
-// occupied returns only the occupied prefix of a bucket (every returned
-// slot has used == true).
-func (m *Matrix) occupied(row, col uint32) []slot {
+// occupied returns the slot range [lo, hi) of a bucket's occupied prefix.
+func (m *Matrix) occupied(row, col uint32) (lo, hi int) {
 	bkt := int(row)*int(m.cfg.D) + int(col)
-	base := bkt * m.cfg.B
-	return m.slots[base : base+int(m.fills[bkt])]
+	lo = bkt * m.cfg.B
+	return lo, lo + int(m.fills[bkt])
 }
 
 func packIdx(i, j int) uint8 { return uint8(i<<4 | j) }
@@ -193,8 +206,9 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 	dMask := m.cfg.D - 1
 	bsz := m.cfg.B
 	timed := m.cfg.Timed
-	slots := m.slots
+	keys, vals := m.keys, m.vals
 	fills := m.fills
+	want := key{fpS, fpD}
 	rowS := baseS & dMask
 	for i := 0; i < m.cfg.Maps; i++ {
 		colD := baseD & dMask
@@ -204,12 +218,13 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 			fill := int(fills[bkt])
 			base := bkt * bsz
 			idx := packIdx(i, j)
-			b := slots[base : base+fill : base+fill]
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					(!timed || e.off == off) {
-					e.w += w
+			ks := keys[base : base+fill : base+fill]
+			for k := range ks {
+				if ks[k] != want {
+					continue
+				}
+				if v := &vals[base+k]; v.idx == idx && (!timed || v.off == off) {
+					v.w += w
 					m.added++
 					return true
 				}
@@ -224,7 +239,9 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 	if freeBkt < 0 {
 		return false
 	}
-	slots[freeBkt*bsz+freeFill] = slot{fpS: fpS, fpD: fpD, off: off, w: w, idx: freeIdx, used: true}
+	k := freeBkt*bsz + freeFill
+	keys[k] = want
+	vals[k] = payload{w: w, off: off, idx: freeIdx}
 	fills[freeBkt]++
 	m.count++
 	m.added++
@@ -235,17 +252,19 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 // timed matrices). It reports whether a matching entry was found. Entries
 // whose weight reaches zero remain allocated, mirroring sketch deletion.
 func (m *Matrix) Sub(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
+	want := key{fpS, fpD}
 	rowS := baseS & (m.cfg.D - 1)
 	for i := 0; i < m.cfg.Maps; i++ {
 		colD := baseD & (m.cfg.D - 1)
 		for j := 0; j < m.cfg.Maps; j++ {
-			b := m.occupied(rowS, colD)
+			lo, hi := m.occupied(rowS, colD)
 			idx := packIdx(i, j)
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					(!m.cfg.Timed || e.off == off) {
-					e.w -= w
+			for k := lo; k < hi; k++ {
+				if m.keys[k] != want {
+					continue
+				}
+				if v := &m.vals[k]; v.idx == idx && (!m.cfg.Timed || v.off == off) {
+					v.w -= w
 					return true
 				}
 			}
@@ -268,17 +287,20 @@ func (m *Matrix) Sub(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 // covered ranges).
 func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int64 {
 	var sum int64
+	want := key{fpS, fpD}
 	rowS := baseS & (m.cfg.D - 1)
 	for i := 0; i < m.cfg.Maps; i++ {
 		colD := baseD & (m.cfg.D - 1)
 		for j := 0; j < m.cfg.Maps; j++ {
-			b := m.occupied(rowS, colD)
+			lo, hi := m.block(rowS, colD)
 			idx := packIdx(i, j)
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
+			ks := m.keys[lo:hi]
+			for k := range ks {
+				if ks[k] != want {
+					continue
+				}
+				if v := &m.vals[lo+k]; v.idx == idx && int64(v.off) >= loOff && int64(v.off) <= hiOff {
+					sum += v.w
 				}
 			}
 			colD = m.lcg.Next(colD)
@@ -301,16 +323,18 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
 	row := base & (m.cfg.D - 1)
-	d := int(m.cfg.D)
+	width := int(m.cfg.D) * m.cfg.B
 	for i := 0; i < m.cfg.Maps; i++ {
-		for col := 0; col < d; col++ {
-			b := m.occupied(row, uint32(col))
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fp && int(e.idx>>4) == i &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
-				}
+		// A row's buckets are adjacent, so its key blocks form one run.
+		lo := int(row) * width
+		keys := m.keys[lo : lo+width]
+		vals := m.vals[lo : lo+width]
+		for k := range keys {
+			if keys[k].fpS != fp {
+				continue
+			}
+			if v := &vals[k]; int(v.idx>>4) == i && int64(v.off) >= loOff && int64(v.off) <= hiOff {
+				sum += v.w
 			}
 		}
 		row = m.lcg.Next(row)
@@ -328,15 +352,17 @@ func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
 	col := base & (m.cfg.D - 1)
-	d := int(m.cfg.D)
+	bsz := m.cfg.B
+	stride := int(m.cfg.D) * bsz
 	for j := 0; j < m.cfg.Maps; j++ {
-		for row := 0; row < d; row++ {
-			b := m.occupied(uint32(row), col)
-			for k := range b {
-				e := &b[k]
-				if e.fpD == fp && int(e.idx&0xf) == j &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
+		for lo := int(col) * bsz; lo < len(m.keys); lo += stride {
+			ks := m.keys[lo : lo+bsz]
+			for k := range ks {
+				if ks[k].fpD != fp {
+					continue
+				}
+				if v := &m.vals[lo+k]; int(v.idx&0xf) == j && int64(v.off) >= loOff && int64(v.off) <= hiOff {
+					sum += v.w
 				}
 			}
 		}
@@ -393,14 +419,14 @@ func (m *Matrix) Absorb(child *Matrix) error {
 		seen += fill
 		row, col := uint32(bkt/d), uint32(bkt%d)
 		base := bkt * child.cfg.B
-		for k := 0; k < fill; k++ {
-			e := &child.slots[base+k]
-			i, j := int(e.idx>>4), int(e.idx&0xf)
+		for k := base; k < base+fill; k++ {
+			kk, v := child.keys[k], &child.vals[k]
+			i, j := int(v.idx>>4), int(v.idx&0xf)
 			baseS := child.lcg.Base(row, i)
 			baseD := child.lcg.Base(col, j)
-			pfpS, pbaseS := Promote(e.fpS, baseS, child.cfg.FBits, rbits)
-			pfpD, pbaseD := Promote(e.fpD, baseD, child.cfg.FBits, rbits)
-			m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, e.w)
+			pfpS, pbaseS := Promote(kk.fpS, baseS, child.cfg.FBits, rbits)
+			pfpD, pbaseD := Promote(kk.fpD, baseD, child.cfg.FBits, rbits)
+			m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, v.w)
 		}
 	}
 	for k := range child.spill {
@@ -443,7 +469,7 @@ func (m *Matrix) EntryBits() int {
 // comparison counts: all slots at this level's entry width plus spilled
 // entries (fingerprints, explicit addresses, weight).
 func (m *Matrix) SpaceBytes() int64 {
-	slotBits := int64(len(m.slots)) * int64(m.EntryBits())
+	slotBits := int64(len(m.keys)) * int64(m.EntryBits())
 	addrBits := int64(2 * hashing.Log2(m.cfg.D))
 	spillBits := int64(len(m.spill)) * (2*int64(m.cfg.FBits) + addrBits + 64)
 	return (slotBits + spillBits + 7) / 8
@@ -451,10 +477,8 @@ func (m *Matrix) SpaceBytes() int64 {
 
 // HeapBytes returns the approximate resident size of the Go representation.
 func (m *Matrix) HeapBytes() int64 {
-	const slotSize = 24 // struct slot, padded
-	const spillSize = 32
-	return int64(len(m.slots))*slotSize + int64(len(m.fills)) +
-		int64(cap(m.spill))*spillSize + 96
+	return int64(len(m.keys))*keySize + int64(len(m.vals))*payloadSize + int64(len(m.fills)) +
+		int64(cap(m.spill))*spillSize + headerSize
 }
 
 // ForEach invokes fn for every occupied slot with the entry's fingerprints,
@@ -471,10 +495,10 @@ func (m *Matrix) ForEach(fn func(fpS, baseS, fpD, baseD uint32, off uint32, w in
 		seen += fill
 		row, col := uint32(bkt/d), uint32(bkt%d)
 		base := bkt * m.cfg.B
-		for k := 0; k < fill; k++ {
-			e := &m.slots[base+k]
-			i, j := int(e.idx>>4), int(e.idx&0xf)
-			fn(e.fpS, m.lcg.Base(row, i), e.fpD, m.lcg.Base(col, j), e.off, e.w)
+		for k := base; k < base+fill; k++ {
+			kk, v := m.keys[k], &m.vals[k]
+			i, j := int(v.idx>>4), int(v.idx&0xf)
+			fn(kk.fpS, m.lcg.Base(row, i), kk.fpD, m.lcg.Base(col, j), v.off, v.w)
 		}
 	}
 	for k := range m.spill {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"higgs/internal/hashing"
 )
@@ -420,6 +421,85 @@ func BenchmarkAdd(b *testing.B) {
 			b.StopTimer()
 			m, _ = New(Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}, 0)
 			b.StartTimer()
+		}
+	}
+}
+
+// TestZeroFingerprintOnEmptySlots: the read sums sweep whole key blocks, so
+// a probe for fingerprint 0 at base 0 and index pair (0,0) also matches
+// every empty slot of its candidate buckets. Those must add nothing, and
+// the prefix-bound mutators must never touch them.
+func TestZeroFingerprintOnEmptySlots(t *testing.T) {
+	full := [2]int64{math.MinInt64, math.MaxInt64}
+	for _, win := range [][2]int64{full, {0, 0}} {
+		m := mustNew(t, Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}, 0)
+		// Bucket (0,0) ends up two-thirds full; every other candidate is empty.
+		m.Add(0, 0, 0, 0, 0, 5)
+		m.Add(7, 0, 9, 0, 0, 11)
+		if got := m.EdgeSum(0, 0, 0, 0, win[0], win[1]); got != 5 {
+			t.Errorf("window %v: EdgeSum(0,0) = %d, want 5", win, got)
+		}
+		if got := m.RowSum(0, 0, win[0], win[1]); got != 5 {
+			t.Errorf("window %v: RowSum(0) = %d, want 5", win, got)
+		}
+		if got := m.ColSum(0, 0, win[0], win[1]); got != 5 {
+			t.Errorf("window %v: ColSum(0) = %d, want 5", win, got)
+		}
+	}
+
+	// Sub of an absent (0,0) edge must not match an empty slot.
+	m := mustNew(t, Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}, 0)
+	m.Add(7, 0, 9, 0, 0, 11)
+	keys := append([]key(nil), m.keys...)
+	vals := append([]payload(nil), m.vals...)
+	if m.Sub(0, 0, 0, 0, 0, 1) {
+		t.Fatal("Sub matched an absent (0,0) edge")
+	}
+	for i := range keys {
+		if m.keys[i] != keys[i] || m.vals[i] != vals[i] {
+			t.Fatalf("Sub of an absent edge changed slot %d: %+v %+v", i, m.keys[i], m.vals[i])
+		}
+	}
+
+	// A weight Sub-ed to zero keeps its slot: Count holds and a later Add
+	// of the same edge merges into it.
+	m.Add(0, 0, 0, 0, 0, 5)
+	if !m.Sub(0, 0, 0, 0, 0, 5) {
+		t.Fatal("Sub did not find the (0,0) edge")
+	}
+	if m.Count() != 2 || m.fills[0] != 2 {
+		t.Fatalf("after Sub to zero: Count = %d, fill = %d, want 2, 2", m.Count(), m.fills[0])
+	}
+	if got := m.EdgeSum(0, 0, 0, 0, math.MinInt64, math.MaxInt64); got != 0 {
+		t.Fatalf("EdgeSum after Sub to zero = %d, want 0", got)
+	}
+	m.Add(0, 0, 0, 0, 0, 2)
+	if m.Count() != 2 {
+		t.Fatalf("re-Add after Sub to zero took a new slot: Count = %d", m.Count())
+	}
+	if got := m.EdgeSum(0, 0, 0, 0, math.MinInt64, math.MaxInt64); got != 2 {
+		t.Fatalf("EdgeSum after re-Add = %d, want 2", got)
+	}
+}
+
+// TestHeapBytesMatchesLayout pins HeapBytes and Pool.Stats to the sizes of
+// the arrays a matrix actually holds, so the accounting follows the layout.
+func TestHeapBytesMatchesLayout(t *testing.T) {
+	for _, cfg := range []Config{testCfg(), {D: 64, B: 1, Maps: 4, FBits: 10}} {
+		p := NewPool()
+		m, err := NewIn(p, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backing := int64(len(m.keys))*int64(unsafe.Sizeof(m.keys[0])) +
+			int64(len(m.vals))*int64(unsafe.Sizeof(m.vals[0])) +
+			int64(len(m.fills))*int64(unsafe.Sizeof(m.fills[0]))
+		if got, want := m.HeapBytes(), backing+int64(unsafe.Sizeof(*m)); got != want {
+			t.Errorf("%+v: HeapBytes = %d, want %d", cfg, got, want)
+		}
+		m.Release(p)
+		if _, got := p.Stats(); got != backing {
+			t.Errorf("%+v: pooled bytes = %d, want %d", cfg, got, backing)
 		}
 	}
 }

@@ -2,12 +2,12 @@ package matrix
 
 import "sync"
 
-// Pool recycles matrix slab backing ([]slot plus the matching []uint8 fill
-// array) across matrix lifetimes, keyed by exact slot count. A HIGGS tree
-// only ever uses a handful of distinct geometries — the leaf matrix, the
-// overflow-block matrix, and one aggregate size per level — so an exact-size
-// class map stays tiny while letting Expire hand the memory of dropped
-// subtrees straight back to the insert path.
+// Pool recycles matrix slab backing (the key and payload arrays plus the
+// matching fill array) across matrix lifetimes, keyed by exact slot count. A
+// HIGGS tree only ever uses a handful of distinct geometries — the leaf
+// matrix, the overflow-block matrix, and one aggregate size per level — so
+// an exact-size class map stays tiny while letting Expire hand the memory of
+// dropped subtrees straight back to the insert path.
 //
 // Slabs are zeroed on Put, so Get returns ready-to-use backing without a
 // memclr on the hot path. Pool is safe for concurrent use: parallel seal
@@ -18,8 +18,14 @@ type Pool struct {
 }
 
 type slab struct {
-	slots []slot
+	keys  []key
+	vals  []payload
 	fills []uint8
+}
+
+// bytes is the slab's backing size.
+func (s slab) bytes() int64 {
+	return int64(len(s.keys))*keySize + int64(len(s.vals))*payloadSize + int64(len(s.fills))
 }
 
 // maxSlabsPerClass bounds retained memory per size class; beyond it Put
@@ -31,53 +37,56 @@ func NewPool() *Pool {
 	return &Pool{classes: make(map[int][]slab)}
 }
 
-// get returns a zeroed slot slab of exactly n slots and its fill array
-// (n/b buckets), reusing pooled backing when available.
-func (p *Pool) get(n, b int) ([]slot, []uint8) {
+// get returns a zeroed slab of exactly n slots and its fill array (n/b
+// buckets), reusing pooled backing when available. A nil pool allocates.
+func (p *Pool) get(n, b int) ([]key, []payload, []uint8) {
 	if p != nil {
 		p.mu.Lock()
 		if ss := p.classes[n]; len(ss) > 0 {
 			s := ss[len(ss)-1]
 			p.classes[n] = ss[:len(ss)-1]
 			p.mu.Unlock()
-			if len(s.fills) == n/b {
-				return s.slots, s.fills
+			if len(s.fills) != n/b {
+				// Same slot count under a different bucket size: reshape
+				// the fill array, keep the (already zeroed) slot arrays.
+				s.fills = make([]uint8, n/b)
 			}
-			// Same slot count under a different bucket size: reshape the
-			// fill array, keep the (already zeroed) slot slab.
-			return s.slots, make([]uint8, n/b)
+			return s.keys, s.vals, s.fills
 		}
 		p.mu.Unlock()
 	}
-	return make([]slot, n), make([]uint8, n/b)
+	return make([]key, n), make([]payload, n), make([]uint8, n/b)
 }
 
 // put zeroes the slab and retains it for reuse, up to the per-class cap.
-func (p *Pool) put(slots []slot, fills []uint8) {
-	if p == nil || slots == nil {
+func (p *Pool) put(keys []key, vals []payload, fills []uint8) {
+	if p == nil || keys == nil {
 		return
 	}
-	clear(slots)
+	clear(keys)
+	clear(vals)
 	clear(fills)
-	n := len(slots)
+	n := len(keys)
 	p.mu.Lock()
 	if len(p.classes[n]) < maxSlabsPerClass {
-		p.classes[n] = append(p.classes[n], slab{slots: slots, fills: fills})
+		p.classes[n] = append(p.classes[n], slab{keys: keys, vals: vals, fills: fills})
 	}
 	p.mu.Unlock()
 }
 
 // Stats reports the pooled slab inventory: number of retained slabs and
-// their total slot-backing bytes.
+// their total backing bytes.
 func (p *Pool) Stats() (slabs int, bytes int64) {
 	if p == nil {
 		return 0, 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for n, ss := range p.classes {
+	for _, ss := range p.classes {
 		slabs += len(ss)
-		bytes += int64(len(ss)) * int64(n) * 24
+		for _, s := range ss {
+			bytes += s.bytes()
+		}
 	}
 	return slabs, bytes
 }

@@ -28,7 +28,7 @@ func TestAddAllocs(t *testing.T) {
 }
 
 // TestPoolReuse: a released slab must come back from the pool zeroed and
-// with the same backing array.
+// with the same backing arrays.
 func TestPoolReuse(t *testing.T) {
 	p := NewPool()
 	m, err := NewIn(p, testCfg(), 0)
@@ -36,24 +36,24 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Add(1, 2, 3, 4, 0, 9)
-	first := &m.slots[0]
+	firstKey, firstVal := &m.keys[0], &m.vals[0]
 	m.Release(p)
-	if m.slots != nil {
+	if m.keys != nil || m.vals != nil || m.fills != nil {
 		t.Fatal("Release must neutralize the matrix")
 	}
 	m2, err := NewIn(p, testCfg(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &m2.slots[0] != first {
+	if &m2.keys[0] != firstKey || &m2.vals[0] != firstVal {
 		t.Fatal("pooled slab not reused")
 	}
 	if m2.Count() != 0 {
 		t.Fatalf("reused matrix reports count %d", m2.Count())
 	}
-	for i := range m2.slots {
-		if m2.slots[i].used {
-			t.Fatalf("reused slab not zeroed at slot %d", i)
+	for i := range m2.keys {
+		if m2.keys[i] != (key{}) || m2.vals[i] != (payload{}) {
+			t.Fatalf("reused slab not zeroed at slot %d: key %+v payload %+v", i, m2.keys[i], m2.vals[i])
 		}
 	}
 	for i := range m2.fills {
@@ -83,8 +83,9 @@ func TestPoolCap(t *testing.T) {
 	}
 }
 
-// TestFillsTrackOccupancy: fills must mirror the per-bucket occupied
-// prefix through Add sequences that fill buckets completely.
+// TestFillsTrackOccupancy: fills must sum to Count through Add sequences
+// that fill buckets completely, and every slot past a bucket's prefix must
+// stay all zeros, which is what lets the read sums sweep whole key blocks.
 func TestFillsTrackOccupancy(t *testing.T) {
 	cfg := Config{D: 4, B: 2, Maps: 2, FBits: 8, Timed: false}
 	m, err := New(cfg, 0)
@@ -97,9 +98,9 @@ func TestFillsTrackOccupancy(t *testing.T) {
 	total := 0
 	for bkt, f := range m.fills {
 		base := bkt * cfg.B
-		for k := 0; k < cfg.B; k++ {
-			if got := m.slots[base+k].used; got != (k < int(f)) {
-				t.Fatalf("bucket %d slot %d used=%v with fill %d", bkt, k, got, f)
+		for k := int(f); k < cfg.B; k++ {
+			if m.keys[base+k] != (key{}) || m.vals[base+k] != (payload{}) {
+				t.Fatalf("bucket %d slot %d past fill %d is not empty", bkt, k, f)
 			}
 		}
 		total += int(f)
